@@ -12,16 +12,18 @@ Design constraints, in order:
 
 1. **Zero overhead when off.**  The profiler is opt-in
    (``repro profile`` / :func:`profiled`).  Disabled — the default —
-   the engine's inlined dispatch loops run untouched; the only residue
+   the engine's fast dispatch loop runs untouched; the only residue
    is one attribute read per ``Engine.run`` call.
-2. **Zero perturbation when on.**  :meth:`EngineProfiler.run_engine`
-   replays the engine's exact pop-assign-dispatch sequence; it only
-   *reads* wall clocks and handler names.  Event order, simulated
+2. **Zero perturbation when on.**  The profiler owns no loop: a
+   profiled engine runs its one dispatch loop (``Engine._loop``),
+   which calls the profiler's pre-dispatch, post-dispatch, roll and
+   cancelled-skip hooks; they only *read* wall clocks, queue depths
+   and handler names.  Event order, simulated
    time, exported traces and determinism hashes are byte-identical
    with the profiler on or off (pinned by test).
-3. **Account for everything.**  Per-iteration timestamps tile the
-   whole ``run()`` interval: every nanosecond lands either in a
-   dispatch bucket or in the profiler's own named ``profiler``
+3. **Account for everything.**  The hooks' timestamps tile the whole
+   ``run()`` interval: every nanosecond lands in a dispatch bucket,
+   the far-lane roll row or the profiler's own named ``profiler``
    bucket, so attributed time covers ≥95% (in practice ≥99%) of
    measured engine wall time.
 
@@ -30,15 +32,14 @@ speedscope-format flamegraph (:func:`write_speedscope`) loadable at
 https://www.speedscope.app or with ``speedscope FILE``.
 """
 
-import heapq
 import json
 import re
 import sys
 from time import perf_counter
 
-from repro.sim.errors import SimulationError
-from repro.sim.events import Event
 from repro.sim.process import Process
+
+_allocated_blocks = sys.getallocatedblocks
 
 #: Ordered (subsystem, substrings) rules mapping handler names — the
 #: simulated-process names resolved from each event's callbacks — onto
@@ -98,8 +99,8 @@ class EngineProfiler:
         #: attributed like everything else).
         self.overhead_s = 0.0
         # Event-queue operation costs, split per lane of the two-lane
-        # queue.  Near-lane pops are measured inside the dispatch loop
-        # (a subset of the enclosing handler's bucket, reported
+        # queue.  Near-lane pops are timed by the pre-dispatch hook (a
+        # subset of the enclosing handler's bucket, reported
         # separately for visibility); far-lane pops happen during
         # *rolls* — between events — so their time is attributed to a
         # dedicated ``queue/far-lane roll`` cost center.  Pushes are
@@ -125,6 +126,11 @@ class EngineProfiler:
         # raw handler name -> (normalised label, subsystem): interning
         # keeps per-dispatch attribution to two dict hits.
         self._labels = {}
+        # Per-dispatch state handed from the pre- to the post-dispatch
+        # hook, and the timeline mark (see the dispatch hooks).
+        self._callbacks = None
+        self._blocks = 0
+        self._mark = 0.0
 
     def __repr__(self):
         return (
@@ -154,21 +160,29 @@ class EngineProfiler:
 
     # -- attachment -------------------------------------------------------------
     def attach(self, engine):
-        """Adopt ``engine``: count it and time its queue pushes.
+        """Adopt ``engine``: hook its dispatch, time its pushes and runs.
 
-        The schedule wrapper calls the original method unchanged, so
-        scheduling semantics (ordering, validation, lane routing) are
-        identical; the wrapper then classifies the push by replaying
-        the routing test (same-instant → near lane, strictly future →
-        far-lane heap) and records per-lane depth peaks.
+        ``Engine.__init__`` calls this while :class:`profiled` is
+        active, so each engine is adopted exactly once, before its first
+        push.  As ``engine.profiler`` it has the engine's dispatch loop
+        call the dispatch hooks below.  The ``schedule`` and ``run``
+        wrappers call the original methods unchanged, so scheduling
+        semantics (ordering, validation, lane routing) are identical.
+        The schedule wrapper classifies each push by replaying the
+        routing test (same-instant → near lane, strictly future →
+        far-lane heap) and records depth peaks — exact, since a lane
+        grows only by a push or (the near lane) a roll, which
+        :meth:`on_roll` measures.  The run wrapper opens and closes the
+        timeline the dispatch hooks tile.
         """
         self.engines += 1
-        original = type(engine).schedule
+        engine.profiler = self
+        cls = type(engine)
         profiler = self
 
         def schedule(event, delay=0.0, priority=None):
             t0 = perf_counter()
-            original(engine, event, delay, priority)
+            cls.schedule(engine, event, delay, priority)
             elapsed = perf_counter() - t0
             near_depth = (len(engine._lane_urgent) + len(engine._lane_normal)
                           + len(engine._lane_deferred))
@@ -187,7 +201,20 @@ class EngineProfiler:
             if near_depth + far_depth > profiler.peak_queue_depth:
                 profiler.peak_queue_depth = near_depth + far_depth
 
+        def run(until=None):
+            profiler.run_calls += 1
+            dispatched = engine.dispatched
+            entered = profiler._mark = perf_counter()
+            try:
+                return cls.run(engine, until)
+            finally:
+                exited = perf_counter()
+                profiler.events += engine.dispatched - dispatched
+                profiler.overhead_s += exited - profiler._mark
+                profiler.run_wall_s += exited - entered
+
         engine.schedule = schedule
+        engine.run = run
 
     # -- attribution ------------------------------------------------------------
     def _bucket_key(self, event, callbacks):
@@ -223,143 +250,64 @@ class EngineProfiler:
             cached = self._labels[name] = (label, classify_handler(label))
         return event.__class__.__name__, cached[0], cached[1]
 
-    # -- the instrumented dispatch loop -----------------------------------------
-    def run_engine(self, engine, until=None):
-        """``Engine.run`` with per-event wall-clock attribution.
+    # -- dispatch hooks (called by Engine._loop) --------------------------------
+    # ``_mark`` is where the unattributed part of the current run()
+    # starts: the run wrapper sets it at entry, and each clock read
+    # below charges the time since the mark to one cost center and
+    # moves it.  The run's wall time is thereby tiled exactly by the
+    # dispatch buckets, the far-lane roll row and the profiler's own
+    # bookkeeping row.
+    def pre_dispatch(self, event):
+        """Before ``event``'s callbacks run: time its near-lane pop.
 
-        Replays the engine's exact two-lane dispatch sequence — serve
-        the near-lane FIFOs in priority order, roll the far-lane heap
-        when they drain, drop cancelled marks, count, kind-log,
-        ``_process``, observers — so simulated behaviour is
-        bit-identical to the fast path.  The added work per event is
-        two ``perf_counter`` reads, two ``getallocatedblocks`` reads
-        and one dict update; rolls add one timed window attributed to
-        the ``queue/far-lane roll`` cost center (they happen *between*
-        events, so no handler bucket could own them).
+        The pop stays unattributed (it is a subset of the bucket the
+        post-dispatch hook charges); ``near_pop_s`` reports it
+        separately for visibility.
         """
-        self.run_calls += 1
-        heap = engine._heap
-        lane_urgent = engine._lane_urgent
-        lane_normal = engine._lane_normal
-        lane_deferred = engine._lane_deferred
-        lanes = engine._lanes
-        cancelled = engine._cancelled
-        pop = heapq.heappop
-        log = engine.kind_log
-        observers = engine._observers
-        blocks = sys.getallocatedblocks
-        buckets = self.buckets
-        dispatched = 0
-        target_event = until if isinstance(until, Event) else None
-        horizon = None
-        if until is not None and target_event is None:
-            horizon = float(until)
-            if horizon < engine._now:
-                raise SimulationError(
-                    f"until={horizon} is in the past (now={engine._now})"
-                )
-        entered = perf_counter()
-        mark = entered
-        try:
-            while True:
-                # Mode-specific continuation test (mirrors the inlined
-                # fast-path loops exactly).
-                if target_event is not None and target_event.processed:
-                    break
-                near_depth = (len(lane_urgent) + len(lane_normal)
-                              + len(lane_deferred))
-                far_depth = len(heap)
-                if near_depth > self.peak_near_depth:
-                    self.peak_near_depth = near_depth
-                if far_depth > self.peak_far_depth:
-                    self.peak_far_depth = far_depth
-                if near_depth + far_depth > self.peak_queue_depth:
-                    self.peak_queue_depth = near_depth + far_depth
-                if near_depth:
-                    if horizon is not None and engine._now >= horizon:
-                        break
-                    t0 = perf_counter()
-                    self.overhead_s += t0 - mark
-                    if lane_urgent:
-                        event = lane_urgent.popleft()
-                    elif lane_normal:
-                        event = lane_normal.popleft()
-                    else:
-                        event = lane_deferred.popleft()
-                    t1 = perf_counter()
-                    self.near_pops += 1
-                    self.near_pop_s += t1 - t0
-                elif heap:
-                    when = heap[0][0]
-                    if horizon is not None and when >= horizon:
-                        break
-                    t0 = perf_counter()
-                    self.overhead_s += t0 - mark
-                    while heap and heap[0][0] == when:
-                        entry = pop(heap)
-                        lanes[entry[1]].append(entry[3])
-                        self.far_pops += 1
-                    engine._now = when
-                    t1 = perf_counter()
-                    self.far_pop_s += t1 - t0
-                    self.rolls += 1
-                    mark = t1
-                    continue
-                else:
-                    if target_event is not None:
-                        raise SimulationError(
-                            "run(until=event) exhausted all events before "
-                            "the target event triggered — deadlock?"
-                        )
-                    break
-                if cancelled and event in cancelled:
-                    cancelled.discard(event)
-                    self.queue_skipped += 1
-                    mark = t1
-                    continue
-                dispatched += 1
-                if log is not None:
-                    log.append(event.__class__)
-                # The callbacks list is consumed by _process; keep a
-                # reference so the handler can be named afterwards,
-                # outside the timed window.
-                callbacks = event.callbacks
-                before = blocks()
-                event._process()
-                if observers:
-                    when = engine._now
-                    for fn in observers:
-                        fn(when, event)
-                t2 = perf_counter()
-                allocated = blocks() - before
-                key = self._bucket_key(event, callbacks)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = [0, 0.0, 0]
-                bucket[0] += 1
-                bucket[1] += t2 - t0
-                bucket[2] += allocated
-                # Bookkeeping from here to the next iteration's t0 is
-                # profiler overhead; t2 is the hand-off point, so the
-                # timeline tiles with no unattributed gaps.
-                mark = t2
+        self.near_pops += 1
+        self.near_pop_s += perf_counter() - self._mark
+        # The callbacks list is consumed by dispatch; keep a reference
+        # so the handler can be named afterwards, outside the timed
+        # window.
+        self._callbacks = event.callbacks
+        self._blocks = _allocated_blocks()
 
-            if horizon is not None:
-                engine._now = horizon
-                return None
-            if target_event is not None:
-                if target_event.ok:
-                    return target_event.value
-                target_event.defuse()
-                raise target_event.value
-            return None
-        finally:
-            engine.dispatched += dispatched
-            self.events += dispatched
-            exited = perf_counter()
-            self.overhead_s += exited - mark
-            self.run_wall_s += exited - entered
-            engine.wall_s += exited - entered
+    def post_dispatch(self, now, event):
+        """After ``event``'s callbacks and observers: charge pop plus
+        dispatch to its bucket; the bookkeeping that follows is the
+        profiler's own overhead."""
+        t = perf_counter()
+        allocated = _allocated_blocks() - self._blocks
+        key = self._bucket_key(event, self._callbacks)
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = [0, 0.0, 0]
+        bucket[0] += 1
+        bucket[1] += t - self._mark
+        bucket[2] += allocated
+        self._mark = perf_counter()
+        self.overhead_s += self._mark - t
+
+    def on_roll(self, engine):
+        """After a roll: charge it to the ``queue/far-lane roll`` cost
+        center (rolls happen *between* events, so no handler bucket
+        could own them).  The near lane was empty before the roll, so
+        its depth now is the number of entries rolled."""
+        t = perf_counter()
+        self.far_pop_s += t - self._mark
+        self._mark = t
+        self.rolls += 1
+        rolled = (len(engine._lane_urgent) + len(engine._lane_normal)
+                  + len(engine._lane_deferred))
+        self.far_pops += rolled
+        if rolled > self.peak_near_depth:
+            self.peak_near_depth = rolled
+
+    def on_skip(self, event):
+        """A cancelled entry was popped and dropped; its pop time is
+        charged with whatever the next clock read closes."""
+        self.near_pops += 1
+        self.queue_skipped += 1
 
     # -- reporting --------------------------------------------------------------
     def cost_centers(self):
@@ -485,9 +433,10 @@ class profiled:
     """Context manager installing ``profiler`` as the build-time hook.
 
     Every :class:`~repro.sim.engine.Engine` constructed inside the
-    ``with`` block dispatches through the profiler; engines built
-    before or after are untouched.  Nests safely (restores whatever
-    hook was active on exit).
+    ``with`` block is attached to the profiler (see
+    :meth:`EngineProfiler.attach`); engines built before or after are
+    untouched.  Nests safely (restores whatever hook was active on
+    exit).
     """
 
     def __init__(self, profiler):
@@ -498,7 +447,7 @@ class profiled:
         from repro.sim import engine as engine_module
 
         self._previous = engine_module.PROFILER
-        engine_module.PROFILER = _Hook(self.profiler)
+        engine_module.PROFILER = self.profiler
         return self.profiler
 
     def __exit__(self, *exc):
@@ -506,28 +455,6 @@ class profiled:
 
         engine_module.PROFILER = self._previous
         return False
-
-
-class _Hook:
-    """The per-engine profiler facade stored on ``Engine.profiler``.
-
-    ``Engine.__init__`` copies the module-level hook; the hook's job
-    is to register the engine with the shared profiler the first time
-    that engine runs, then forward every dispatch loop.
-    """
-
-    __slots__ = ("profiler", "_attached")
-
-    def __init__(self, profiler):
-        self.profiler = profiler
-        self._attached = set()
-
-    def run_engine(self, engine, until=None):
-        key = id(engine)
-        if key not in self._attached:
-            self._attached.add(key)
-            self.profiler.attach(engine)
-        return self.profiler.run_engine(engine, until)
 
 
 # -- rendering -------------------------------------------------------------------

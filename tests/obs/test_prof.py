@@ -64,7 +64,8 @@ class TestNonPerturbation:
 
 
 class TestDispatchModes:
-    """run_engine mirrors all three Engine.run modes exactly."""
+    """All three Engine.run modes behave the same with the profiler's
+    hooks attached."""
 
     @staticmethod
     def _ticker(eng, marks):
@@ -111,6 +112,38 @@ class TestDispatchModes:
             eng = Engine(initial_time=10.0)
             with pytest.raises(SimulationError):
                 eng.run(until=5.0)
+
+
+class TestEngineAttachment:
+    def test_every_sequential_engine_is_attached(self):
+        """A sweep builds, runs and drops one engine per trial; each is
+        adopted, even where CPython reuses a collected engine's id."""
+        n = 50
+        profiler = EngineProfiler()
+        with profiled(profiler):
+            for _ in range(n):
+                eng = Engine()
+                eng.timeout(1.0)
+                eng.run()
+                del eng
+        far = profiler.report()["queue"]["far"]
+        assert profiler.engines == n
+        assert far["pushes"] == n
+        assert far["pops"] == far["pushes"]
+        assert far["rolls"] == n
+
+    def test_cancelled_entry_is_counted_as_skipped(self):
+        profiler = EngineProfiler()
+        with profiled(profiler):
+            eng = Engine()
+            victim = eng.timeout(2.0)
+            eng.timeout(1.0).callbacks.append(lambda event: victim.cancel())
+            eng.run()
+        queue = profiler.report()["queue"]
+        assert profiler.events == eng.dispatched == 1
+        assert queue["skipped"] == 1
+        assert queue["near"]["pops"] == 2
+        assert queue["far"]["pops"] == queue["far"]["pushes"] == 2
 
 
 class TestAttribution:

@@ -2,8 +2,8 @@
 
 Pinned for both queue lanes and across the lane migration (an event
 scheduled far-future, cancelled only after its instant rolled from the
-far-lane heap into a near-lane FIFO), on both the uninstrumented fast
-dispatch loops and the observed loop (``kind_log`` / observers).
+far-lane heap into a near-lane FIFO), with and without the dispatch
+loop's hooks (``kind_log`` / observers) attached.
 """
 
 import pytest

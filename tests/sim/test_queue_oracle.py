@@ -17,7 +17,10 @@ Each program exercises the hostile cases:
   *after* rolling from the far-lane heap into a near-lane FIFO,
 * ``Engine.serial`` draws interleaved with dispatch,
 * all three run modes (drain, horizon, until-event) including resumed
-  runs.
+  runs, plus ``run(until=now)`` with same-instant events pending,
+* every dispatch variant: no hooks, a ``kind_log``, an observer, and
+  the engine profiler; the ``kind_log`` and observer streams must
+  match the reference's too.
 
 Run with a pinned seed to reproduce a failure from the log line alone:
 
@@ -25,9 +28,11 @@ Run with a pinned seed to reproduce a failure from the log line alone:
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
+from repro.obs.prof import EngineProfiler, profiled
 from repro.sim.engine import DEFERRED, Engine, URGENT
 from repro.sim.events import Event, Timeout
 from repro.sim.errors import SimulationError
@@ -35,6 +40,15 @@ from repro.sim.refqueue import ReferenceEngine
 
 SEEDS = [101, 202, 303, 404, 505]
 CASES_PER_SEED = 200
+#: Dispatch variants beyond the plain (hook-free) one; the plain cases
+#: keep their bare ``[seed]`` ids.
+HOOKED = ["kind_log", "observer", "profiled"]
+VARIANT_CASES = [
+    pytest.param(seed, "plain", id=str(seed)) for seed in SEEDS
+] + [
+    pytest.param(seed, variant, id=f"{variant}-{seed}")
+    for variant in HOOKED for seed in SEEDS
+]
 
 #: Small discrete delay palette so same-timestamp collisions abound.
 DELAYS = [0.0, 0.0, 0.0, 0.1, 0.1, 0.2, 0.2, 0.5, 1.0, 3.0]
@@ -142,6 +156,13 @@ def run_case(engine, plan, mode):
         engine.run(until=0.7)
         log.append(("clock", engine.now))
         engine.run()
+    elif mode == 3:
+        # Same-instant roots are pending in the near lane, but nothing
+        # is due strictly before the horizon.
+        engine.run(until=engine.now)
+        assert engine.dispatched == 0
+        log.append(("clock", engine.now))
+        engine.run()
     else:
         try:
             value = engine.run(until=roots[0])
@@ -156,18 +177,39 @@ def run_case(engine, plan, mode):
     return log
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dispatch_order_matches_reference(seed):
+def run_variant(make_engine, plan, mode, variant):
+    """:func:`run_case` under one dispatch variant; the variant's hook
+    stream (empty for ``plain`` and ``profiled``) ends the log."""
+    stream = []
+    profiler = EngineProfiler()
+    with profiled(profiler) if variant == "profiled" else nullcontext():
+        engine = make_engine()
+    if variant == "kind_log":
+        engine.kind_log = stream
+    elif variant == "observer":
+        engine.add_observer(
+            lambda now, event: stream.append(
+                (now, type(event).__name__, event._value))
+        )
+    log = run_case(engine, plan, mode)
+    if variant == "profiled":
+        assert profiler.events == engine.dispatched
+    log.append((variant, stream))
+    return log
+
+
+@pytest.mark.parametrize("seed,variant", VARIANT_CASES)
+def test_dispatch_order_matches_reference(seed, variant):
     """≥200 randomized schedules per seed, identical logs end to end."""
     rng = random.Random(seed)
     for case in range(CASES_PER_SEED):
         plan = make_plan(rng)
-        mode = case % 3
-        fast_log = run_case(Engine(), plan, mode)
-        ref_log = run_case(ReferenceEngine(), plan, mode)
+        mode = case % 4
+        fast_log = run_variant(Engine, plan, mode, variant)
+        ref_log = run_variant(ReferenceEngine, plan, mode, variant)
         assert fast_log == ref_log, (
-            f"divergence at seed={seed} case={case} mode={mode}: "
-            f"first mismatch "
+            f"divergence at seed={seed} variant={variant} case={case} "
+            f"mode={mode}: first mismatch "
             f"{next((a, b) for a, b in zip(fast_log, ref_log) if a != b)}"
         )
 
