@@ -2,93 +2,61 @@
 
 These time real (wall-clock) performance of the building blocks, so
 regressions in the simulator itself are visible independently of the
-simulated results.
+simulated results.  The primitives are the repository benchmark's own
+(``benchmarks/suite/micro.py``), so both report the same work.
 """
 
-import random
-
+from benchmarks.suite.micro import (
+    amap_build,
+    churn_ops,
+    interval_churn,
+    lisp_scale_space,
+    page_cow,
+    ping_pong,
+    thousand_timeouts,
+)
 from repro.accent.constants import PAGE_SIZE
-from repro.accent.vm.address_space import AddressSpace
-from repro.accent.vm.intervals import IntervalMap
-from repro.accent.vm.page import Page
-from repro.sim import Engine, Store
 
 
 def test_engine_event_throughput(benchmark):
     """Schedule-and-process cycles per second."""
-
-    def thousand_timeouts():
-        engine = Engine()
-        for i in range(1000):
-            engine.timeout(i * 0.001)
-        engine.run()
-        return engine.now
-
-    result = benchmark(thousand_timeouts)
-    assert result > 0
+    assert benchmark(thousand_timeouts) > 0
 
 
 def test_process_context_switch(benchmark):
     """Ping-pong between two coroutine processes through a Store."""
-
-    def ping_pong():
-        engine = Engine()
-        a_to_b, b_to_a = Store(engine), Store(engine)
-
-        def ping():
-            for _ in range(200):
-                yield a_to_b.put("ball")
-                yield b_to_a.get()
-
-        def pong():
-            for _ in range(200):
-                yield a_to_b.get()
-                yield b_to_a.put("ball")
-
-        engine.process(ping())
-        engine.process(pong())
-        engine.run()
-
     benchmark(ping_pong)
 
 
 def test_interval_map_mixed_ops(benchmark):
-    rng = random.Random(42)
-    ops = [
-        (rng.randrange(10_000), rng.randrange(1, 64), rng.randrange(3))
-        for _ in range(500)
-    ]
-
-    def churn():
-        imap = IntervalMap()
-        for start, length, value in ops:
-            imap.add(start, start + length, value)
-        return len(imap)
-
-    assert benchmark(churn) > 0
+    ops = churn_ops()
+    assert benchmark(interval_churn, ops) > 0
 
 
 def test_amap_construction_lisp_scale(benchmark):
     """AMap over a 4 GB space with thousands of scattered pages."""
-    space = AddressSpace()
-    space.validate(0, 4 * 1024**3)
-    rng = random.Random(7)
-    for index in sorted(rng.sample(range(1_000_000), 4000)):
-        space.install_page(index, Page())
-
-    amap = benchmark(space.amap)
+    amap = benchmark(amap_build, lisp_scale_space())
     assert amap.real_bytes == 4000 * PAGE_SIZE
 
 
 def test_page_cow_write_cycle(benchmark):
-    def share_and_break():
-        page = Page(b"original")
-        page.share()
-        private = page.write(0, b"modified")
-        page.release()
-        return private
+    assert benchmark(page_cow).data[:8] == b"modified"
 
-    assert benchmark(share_and_break).data[:8] == b"modified"
+
+def test_build_process_lisp_del(benchmark):
+    """Pre-migration set-up of the largest real footprint (lisp-del)."""
+    from repro.testbed import Testbed
+    from repro.workloads.builder import build_process
+    from repro.workloads.registry import WORKLOADS
+
+    spec = WORKLOADS["lisp-del"]
+
+    def fresh_world():
+        world = Testbed(seed=1987).world()
+        return (world.source, spec, world.streams), {}
+
+    built = benchmark.pedantic(build_process, setup=fresh_world, rounds=10)
+    assert built.process.space.real_bytes == spec.real_bytes
 
 
 def test_full_trial_wall_clock(benchmark):

@@ -38,37 +38,31 @@ def build_process(host, spec, streams, name=None):
     space = AddressSpace(name=name or spec.name)
     space.validate(plan.region_start, plan.region_size)
 
-    # Pre-migration reference recency: working-set pages were touched
-    # within the last τ; the rest of the resident set earlier (it is a
-    # disk cache); paged-out data long ago.
+    # One pass in index order: install each page, give it a frame or a
+    # disk image, and draw its pre-migration reference recency —
+    # working-set pages were touched within the last τ; the rest of the
+    # resident set earlier (it is a disk cache); paged-out data long ago.
+    host.register_space(space)
+    space_id = space.space_id
     now = host.engine.now
     window = host.calibration.ws_window_s
     for index in plan.real_indices:
         page = Page(page_payload(spec.name, index))
         if index in plan.resident:
             space.install_page(index, page, Residency.RESIDENT)
-        else:
-            space.install_page(index, page, Residency.ON_DISK)
-        entry = space.page_table[index]
-        if index in plan.recent:
-            entry.last_touch = now - rng.random() * 0.2 * window
-        elif index in plan.resident:
-            entry.last_touch = now - window * (1.5 + 4.0 * rng.random())
-        else:
-            entry.last_touch = now - window * (10.0 + 40.0 * rng.random())
-
-    host.register_space(space)
-    for index in plan.real_indices:
-        if index in plan.resident:
-            victim = host.physical.allocate((space.space_id, index))
-            if victim is not None:
+            if host.physical.allocate((space_id, index)) is not None:
                 raise RuntimeError(
                     f"{spec.name}: frame pool too small for its resident set"
                 )
+            if index in plan.recent:
+                ago = rng.random() * 0.2 * window
+            else:
+                ago = window * (1.5 + 4.0 * rng.random())
         else:
-            host.disk.store_instant(
-                space.space_id, index, space.page_table[index].page
-            )
+            space.install_page(index, page, Residency.ON_DISK)
+            host.disk.store_instant(space_id, index, page)
+            ago = window * (10.0 + 40.0 * rng.random())
+        space.page_table[index].last_touch = now - ago
 
     # A self port (Receive) and a service port (Send) exercise the
     # transparent port-right transfer of ExciseProcess (§3.1).

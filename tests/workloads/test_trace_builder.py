@@ -1,5 +1,7 @@
 """Unit tests for trace generation, content and the builder."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -139,3 +141,63 @@ def test_builder_lisp_is_fast_despite_4gb(world):
     built = build_process(world.source, WORKLOADS["lisp-t"], world.streams)
     assert time.time() - start < 5.0
     assert built.process.space.total_bytes == 4_228_129_280
+
+
+def page_table_digest(name, seed):
+    """Digest of a freshly built process: page table and frame order."""
+    world = Testbed(seed=seed).world()
+    built = build_process(world.source, WORKLOADS[name], world.streams)
+    space = built.process.space
+    pages = [
+        [index, entry.residency.value, repr(entry.last_touch)]
+        for index, entry in sorted(space.page_table.items())
+    ]
+    frames = [
+        index for _, index in world.source.physical.resident_keys(
+            space.space_id
+        )
+    ]
+    text = json.dumps(
+        {"pages": pages, "frames": frames},
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: Pins every builder draw: which pages are resident, each page's
+#: pre-migration ``last_touch`` and the physical-LRU insertion order.
+PINNED_PAGE_TABLES = {
+    ("minprog", 1987):
+        "46ed21d7d28b568f1567900acaf4bd93b80b80604f04d773d84852f23f0923a1",
+    ("minprog", 31):
+        "437f0355f824ebfef9dea54e2a29d90688c6c2d5a93a5c5c0e31b848157f2cd7",
+    ("lisp-t", 1987):
+        "8786cbdda1b76b08596c49aabb4e272a088fd23bac69b09dbc1471c1f3811885",
+    ("lisp-t", 31):
+        "8d7405318023d0fd6ac9fa1606781275b86fcbafb864ed6eacffe1c14f37d496",
+    ("lisp-del", 1987):
+        "a5a036205b1c509e5bb0ffc80edddfdb9a57b0e485b70160c70e539dc82e0ada",
+    ("lisp-del", 31):
+        "0a8a1983cd3d172db8d992b9e6dc5d1548366bf5ccfb0f6f26b80455da03c2be",
+    ("pm-start", 1987):
+        "62f298f461298cbc8719ad4587467cf88d7de1b8317961e51964a3f939214bae",
+    ("pm-start", 31):
+        "0db6af6d9f59a4418e3b07bbcd06e7c4e600a12fae87caedcee1aadd5bf9d91d",
+    ("pm-mid", 1987):
+        "e44f6de7d5aa44026ef77b60a1167c3ebd783d1bb0d9fd854289b8721564b69e",
+    ("pm-mid", 31):
+        "9d7918549e7f72b3c096558cb03370099d557089040ee98b27816684df84681b",
+    ("pm-end", 1987):
+        "928fedd0e7a4ae25bfe3823667b570c2fee703c0e83325e888468801b9db98ce",
+    ("pm-end", 31):
+        "eeaf642fd3b86005d473c9a8ed61f9a5caf8a9d33beccad3ddd55b5184032703",
+    ("chess", 1987):
+        "af28c645c73b4d292f0bbb897701d62bfaea9a53f3d01c69845e7276777f437b",
+    ("chess", 31):
+        "0a339e6b98a1146409ccdb5bf5e8e9b20af12970ad2d2b825beef6444cd842b1",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_PAGE_TABLES))
+def test_builder_page_table_is_pinned(name, seed):
+    assert page_table_digest(name, seed) == PINNED_PAGE_TABLES[name, seed]
