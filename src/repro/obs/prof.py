@@ -32,6 +32,7 @@ speedscope-format flamegraph (:func:`write_speedscope`) loadable at
 https://www.speedscope.app or with ``speedscope FILE``.
 """
 
+import gc
 import json
 import re
 import sys
@@ -90,7 +91,8 @@ class EngineProfiler:
 
     def __init__(self):
         #: (event kind, handler) -> [dispatches, self seconds, net
-        #: allocated blocks].  Handler names are normalised.
+        #: allocated blocks, cyclic-collector frees excluded].  Handler
+        #: names are normalised.
         self.buckets = {}
         #: Wall seconds inside ``Engine.run`` dispatch loops.
         self.run_wall_s = 0.0
@@ -130,6 +132,7 @@ class EngineProfiler:
         # hook, and the timeline mark (see the dispatch hooks).
         self._callbacks = None
         self._blocks = 0
+        self._gc_blocks = 0
         self._mark = 0.0
 
     def __repr__(self):
@@ -287,6 +290,21 @@ class EngineProfiler:
         bucket[2] += allocated
         self._mark = perf_counter()
         self.overhead_s += self._mark - t
+
+    def on_gc(self, phase, info):
+        """``gc.callbacks`` hook: keep the cyclic collector's frees out
+        of the allocation counts.
+
+        A collection can start inside any dispatch and free garbage
+        that earlier code left behind; charged to the interrupted
+        handler, a large enough pass drove a whole run's net count
+        negative.  Moving the open dispatch's baseline down by the
+        blocks the pass freed leaves only the handler's own blocks.
+        """
+        if phase == "start":
+            self._gc_blocks = _allocated_blocks()
+        else:
+            self._blocks -= self._gc_blocks - _allocated_blocks()
 
     def on_roll(self, engine):
         """After a roll: charge it to the ``queue/far-lane roll`` cost
@@ -448,11 +466,13 @@ class profiled:
 
         self._previous = engine_module.PROFILER
         engine_module.PROFILER = self.profiler
+        gc.callbacks.append(self.profiler.on_gc)
         return self.profiler
 
     def __exit__(self, *exc):
         from repro.sim import engine as engine_module
 
+        gc.callbacks.remove(self.profiler.on_gc)
         engine_module.PROFILER = self._previous
         return False
 

@@ -1,5 +1,6 @@
 """The host-time engine profiler: attribution without perturbation."""
 
+import gc
 import json
 
 import pytest
@@ -217,6 +218,36 @@ class TestAttribution:
         profiler = self._profiled_stress()
         report = profiler.report()
         assert sum(r["alloc_blocks"] for r in report["cost_centers"]) > 0
+
+    def test_collector_frees_are_not_charged_to_the_handler(self):
+        """A cyclic-collector pass inside a dispatch frees garbage the
+        handler never allocated; it must not turn that handler's count
+        (or a whole run's) negative."""
+        profiler = EngineProfiler()
+        garbage = []
+        for _ in range(5000):
+            cycle = []
+            cycle.append(cycle)
+            garbage.append(cycle)
+        gc.disable()
+        try:
+            with profiled(profiler):
+                eng = Engine()
+
+                def collector(eng):
+                    yield eng.timeout(1.0)
+                    gc.collect()
+
+                eng.process(collector(eng), name="collector")
+                del garbage[:], cycle
+                eng.run()
+        finally:
+            gc.enable()
+        assert profiler.on_gc not in gc.callbacks
+        rows = [row for row in profiler.report()["cost_centers"]
+                if row["handler"] == "collector"]
+        assert rows
+        assert all(abs(row["alloc_blocks"]) < 100 for row in rows)
 
     def test_render_profile_mentions_top_center(self):
         profiler = self._profiled_stress()
