@@ -2,8 +2,8 @@
 
 Each scenario here runs a small instrumented world — one per simulation
 family (migrate / stress / batched transfer / serving / fault
-injection) — and serialises its full observability export to canonical
-JSONL.  The committed ``.jsonl.gz`` files pin those bytes; the test in
+injection / content store, serial and batched) — and serialises its
+full observability export to canonical JSONL.  The committed ``.jsonl.gz`` files pin those bytes; the test in
 ``test_golden_corpus.py`` re-runs every scenario and byte-compares, so
 a queue or dispatch change that silently reorders *anything* the
 randomized oracle misses fails loudly here.
@@ -57,6 +57,25 @@ def _batched():
     )
 
 
+def _store():
+    from repro.cluster import StressConfig, run_stress
+
+    return run_stress(
+        StressConfig(hosts=4, procs=8, seed=7, dedup=True), instrument=True
+    )
+
+
+def _store_batched():
+    from repro.cluster import StressConfig, run_stress
+
+    return run_stress(
+        StressConfig(
+            hosts=4, procs=8, seed=7, dedup=True, batch=8, pipeline=4,
+        ),
+        instrument=True,
+    )
+
+
 def _serve():
     from repro.cluster import StressConfig
     from repro.serve import run_serve
@@ -89,6 +108,8 @@ SCENARIOS = {
     "batched": _batched,
     "serve": _serve,
     "faults": _faults,
+    "store": _store,
+    "store-batched": _store_batched,
 }
 
 
