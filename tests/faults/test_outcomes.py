@@ -4,6 +4,8 @@ Each trial is fully deterministic given the seed, so these assert on
 exact outcomes rather than statistical tendencies.
 """
 
+import pytest
+
 from repro.accent.process import ProcessStatus
 from repro.migration.manager import MigrationAborted
 from repro.sim import SeededStreams
@@ -59,9 +61,17 @@ def test_dest_crash_outcome_via_testbed(make_plan):
     assert result.failure is not None
 
 
-def test_source_crash_before_flush_kills_dependent_process(make_plan):
+@pytest.mark.parametrize("store", [False, True], ids=["store-off", "store-on"])
+@pytest.mark.parametrize(
+    "shape", [{}, {"batch": 8, "pipeline": 4}], ids=["serial", "batched"]
+)
+def test_source_crash_before_flush_kills_dependent_process(
+    make_plan, shape, store
+):
     plan = make_plan({"crashes": [{"host": "alpha", "at": 30.0}]})
-    result = Testbed(seed=7, faults=plan).migrate("chess", strategy="pure-iou")
+    result = Testbed(seed=7, faults=plan).migrate(
+        "chess", strategy="pure-iou", options={**shape, "store": store}
+    )
     assert result.outcome == "killed"
     assert result.residual_kills == 1
     assert "alpha" in result.failure
