@@ -91,43 +91,17 @@ class ImaginarySegment:
     def fully_delivered(self):
         return not self.owed
 
-    def take(self, index, prefetch=0):
-        """Pages for one Imaginary Read Request.
-
-        Returns a dict containing the demanded page plus up to
-        ``prefetch`` still-owed pages at the nearest higher indices —
-        the paper's "additional contiguous page(s)" policy.  Raises
-        KeyError if the demanded page was never part of the segment.
-        """
-        if index not in self.stash:
-            raise KeyError(
-                f"page {index} is not part of segment {self.segment_id}"
-            )
-        self.requests += 1
-        result = {index: self.stash[index]}
-        self.owed.discard(index)
-        if prefetch > 0:
-            position = bisect.bisect_right(self._sorted_indices, index)
-            picked = 0
-            for candidate in self._sorted_indices[position:]:
-                if picked >= prefetch:
-                    break
-                if candidate in self.owed:
-                    result[candidate] = self.stash[candidate]
-                    self.owed.discard(candidate)
-                    picked += 1
-        self.pages_delivered += len(result)
-        return result
-
     def take_batch(self, indices, window=0):
-        """Pages for one batched Imaginary Read Request.
+        """Pages for one Imaginary Read Request, single-page or batched.
 
         Returns a dict with every demanded page, topped up to
         ``window`` total pages with still-owed pages at the nearest
-        higher indices (the same ascending "contiguous neighbours"
-        policy as :meth:`take`, generalised from one demanded page to a
-        batch).  Counts as a single request.  Raises KeyError if any
-        demanded page was never part of the segment.
+        higher indices than the lowest demanded page — the paper's
+        "additional contiguous page(s)" policy (§4), generalised from
+        one demanded page to a batch.  The dict lists the demanded
+        pages first, then the top-up, each ascending.  Counts as a
+        single request.  Raises KeyError if any demanded page was never
+        part of the segment.
         """
         demanded = sorted(set(indices))
         for index in demanded:

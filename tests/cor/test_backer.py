@@ -73,7 +73,7 @@ def test_unexpected_op_raises(world):
 def test_death_retires_segment(world):
     backer = BackingServer(world.source)
     segment = backer.create_segment({0: Page(), 1: Page()})
-    segment.take(0)
+    segment.take_batch([0], 1)
     death = Message(
         dest=backer.port,
         op=OP_IMAG_DEATH,
@@ -103,9 +103,9 @@ def test_death_for_unknown_segment_is_ignored(world):
 def test_delivered_count_mixes_live_and_retired(world):
     backer = BackingServer(world.source)
     live = backer.create_segment({0: Page(), 1: Page()})
-    live.take(0)
+    live.take_batch([0], 1)
     dead = backer.create_segment({10: Page()})
-    dead.take(10)
+    dead.take_batch([10], 1)
     death = Message(
         dest=backer.port,
         op=OP_IMAG_DEATH,

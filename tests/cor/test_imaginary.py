@@ -22,7 +22,7 @@ def test_handle_fields():
 
 def test_take_demanded_page_only():
     segment = make_segment([3, 4, 5])
-    pages = segment.take(4, prefetch=0)
+    pages = segment.take_batch([4], 1)
     assert list(pages) == [4]
     assert 4 not in segment.owed
     assert segment.owed == {3, 5}
@@ -33,20 +33,20 @@ def test_take_demanded_page_only():
 def test_take_unknown_page_raises():
     segment = make_segment([1])
     with pytest.raises(KeyError):
-        segment.take(9)
+        segment.take_batch([9], 1)
 
 
 def test_prefetch_ascending_contiguous():
     segment = make_segment(range(10))
-    pages = segment.take(2, prefetch=3)
+    pages = segment.take_batch([2], 4)
     assert sorted(pages) == [2, 3, 4, 5]
 
 
 def test_prefetch_skips_already_delivered():
     segment = make_segment(range(10))
-    segment.take(3, prefetch=0)
-    segment.take(4, prefetch=0)
-    pages = segment.take(2, prefetch=2)
+    segment.take_batch([3], 1)
+    segment.take_batch([4], 1)
+    pages = segment.take_batch([2], 3)
     # 3 and 4 already delivered; the next owed above 2 are 5 and 6.
     assert sorted(pages) == [2, 5, 6]
 
@@ -54,28 +54,28 @@ def test_prefetch_skips_already_delivered():
 def test_prefetch_spans_index_gaps():
     """'Nearby' pages follow the stash order even across holes."""
     segment = make_segment([1, 2, 50, 51])
-    pages = segment.take(2, prefetch=2)
+    pages = segment.take_batch([2], 3)
     assert sorted(pages) == [2, 50, 51]
 
 
 def test_prefetch_stops_at_stash_end():
     segment = make_segment([8, 9])
-    pages = segment.take(9, prefetch=5)
+    pages = segment.take_batch([9], 6)
     assert sorted(pages) == [9]
 
 
 def test_take_is_idempotent_for_redelivery():
     """A raced demand for an already-delivered page still succeeds."""
     segment = make_segment([0, 1])
-    segment.take(0, prefetch=1)  # delivers 0 and 1
-    again = segment.take(1, prefetch=0)
+    segment.take_batch([0], 2)  # delivers 0 and 1
+    again = segment.take_batch([1], 1)
     assert list(again) == [1]
     assert segment.fully_delivered
 
 
 def test_death_clears_segment():
     segment = make_segment([0, 1])
-    segment.take(0)
+    segment.take_batch([0], 1)
     segment.die()
     assert segment.dead
     assert not segment.stash
@@ -85,5 +85,5 @@ def test_death_clears_segment():
 def test_fully_delivered_flag():
     segment = make_segment([0, 1])
     assert not segment.fully_delivered
-    segment.take(0, prefetch=1)
+    segment.take_batch([0], 2)
     assert segment.fully_delivered

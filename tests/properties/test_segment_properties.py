@@ -32,7 +32,7 @@ def test_owed_shrinks_monotonically_and_stays_consistent(build):
     total = len(segment.stash)
     for index, prefetch in requests:
         owed_before = set(segment.owed)
-        pages = segment.take(index, prefetch)
+        pages = segment.take_batch([index], 1 + prefetch)
         # The demanded page is always delivered.
         assert index in pages
         # Delivery never exceeds 1 + prefetch pages.
@@ -55,7 +55,7 @@ def test_prefetch_picks_nearest_owed_above(build):
     segment, requests = build
     for index, prefetch in requests:
         owed_before = set(segment.owed)
-        pages = segment.take(index, prefetch)
+        pages = segment.take_batch([index], 1 + prefetch)
         extras = sorted(set(pages) - {index})
         # The extras must be exactly the nearest owed indices above.
         candidates = sorted(i for i in owed_before if i > index)
@@ -75,6 +75,6 @@ def test_full_drain_delivers_every_page_once(indices):
     for index in sorted(indices):
         if index not in segment.owed:
             continue
-        delivered.update(segment.take(index, prefetch=3))
+        delivered.update(segment.take_batch([index], 4))
     assert delivered == set(indices)
     assert segment.fully_delivered
