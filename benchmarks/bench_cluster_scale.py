@@ -14,23 +14,18 @@ The headline claims checked here:
 * raising the cap trades queueing delay for concurrency without ever
   violating the per-host limit.
 
-Run directly (writes the JSON artifact)::
+Gate a fresh run against the committed artifact (and rewrite it)::
 
-    PYTHONPATH=src python benchmarks/bench_cluster_scale.py
+    PYTHONPATH=src python -m benchmarks.gate cluster_scale
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_cluster_scale.py
 """
 
-import json
-import os
 import time
 
 from repro.cluster import StressConfig, run_stress
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_cluster_scale.json")
 
 #: The stress scenario: 16 hosts, 64 processes, one request per process.
 HOSTS = 16
@@ -41,6 +36,23 @@ CAPS = (1, 2, 4, 8)
 DEFAULT_CAP = 4
 #: Sustained-concurrency floor at the default cap.
 SUSTAINED_TARGET = 4
+
+#: The rules ``python -m benchmarks.gate cluster_scale`` enforces.
+GATE = {
+    "title": ("Cluster-scale stress ({scenario[hosts]} hosts x "
+              "{scenario[procs]} procs, seed {scenario[seed]})"),
+    "key": ("inflight_cap",),
+    "exact": ("determinism_hash",),
+    "targets": (
+        ("rows.*.verified", "==", True),
+        (f"rows.{DEFAULT_CAP}.sustained_inflight", ">=", "sustained_target"),
+    ),
+    "tables": {"rows": (
+        "inflight_cap", "outcomes.completed", "throughput_per_s",
+        "freeze_p50_s", "freeze_p99_s", "sustained_inflight",
+        "peak_queue_depth",
+    )},
+}
 
 
 def run_point(cap):
@@ -110,23 +122,3 @@ def test_cap_sweep_is_monotone_in_queueing():
         assert result.peak_host_inflight <= cap
         depths.append(result.peak_queue)
     assert depths == sorted(depths, reverse=True)
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    default = next(
-        row for row in artifact["rows"]
-        if row["inflight_cap"] == artifact["default_cap"]
-    )
-    ok = default["sustained_inflight"] >= artifact["sustained_target"]
-    print(f"sustained in-flight at cap {artifact['default_cap']}: "
-          f"{default['sustained_inflight']} "
-          f"({'OK' if ok else 'UNDER TARGET'})")
-
-
-if __name__ == "__main__":
-    main()

@@ -22,17 +22,14 @@ The headline claims checked here:
 * the ``off`` arm reproduces the store-less protocol exactly (golden
   bytes/stall match, pinned below).
 
-Run directly (writes ``BENCH_content_store.json``)::
+Gate a fresh run against the committed artifact (and rewrite it)::
 
-    PYTHONPATH=src python benchmarks/bench_content_store.py
+    PYTHONPATH=src python -m benchmarks.gate content_store
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_content_store.py
 """
-
-import json
-import os
 
 from repro.migration.plan import TransferOptions
 from repro.migration.strategy import Strategy
@@ -41,9 +38,6 @@ from repro.testbed import Testbed
 from repro.workloads.builder import build_process
 from repro.workloads.registry import workload_by_name
 from repro.workloads.runner import RemoteRunResult, remote_body
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_content_store.json")
 
 SEED = 1987
 WORKLOAD = "minprog"
@@ -63,6 +57,24 @@ ARMS = (
 #: faults).  The off arm must reproduce the pre-store protocol to the
 #: last byte — regenerate only on an intentional protocol change.
 GOLDEN_OFF = (78364, 10.783181, 96)
+
+#: The rules ``python -m benchmarks.gate content_store`` enforces.
+GATE = {
+    "title": ("Content-addressed page store ({scenario[siblings]} "
+              "{scenario[workload]} siblings, seed {scenario[seed]})"),
+    "key": ("arm",),
+    "tolerance": {"rows.*.bytes_total": "rise", "rows.*.stall_s": "rise"},
+    "targets": (
+        ("rows.*.verified", "==", True),
+        ("off_matches_golden", "==", True),
+        ("bytes_reduction", ">=", "bytes_target"),
+        ("stall_reduction", ">", 1.0),
+    ),
+    "tables": {"rows": (
+        "arm", "bytes_total", "stall_s", "local_hits", "dedup_pages",
+        "verified",
+    )},
+}
 
 
 def _family_sum(registry, name):
@@ -198,26 +210,3 @@ def test_wire_dedup_collapses_bulk_shipment():
     assert off["verified"] and dedup["verified"]
     assert dedup["dedup_pages"] > 0
     assert off["bytes_total"] >= 2.0 * dedup["bytes_total"]
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    ok = (
-        artifact["bytes_reduction"] >= artifact["bytes_target"]
-        and artifact["stall_reduction"] > 1.0
-        and artifact["off_matches_golden"]
-    )
-    print(
-        f"bytes reduction {artifact['bytes_reduction']}x, stall reduction "
-        f"{artifact['stall_reduction']}x, off arm golden "
-        f"{'match' if artifact['off_matches_golden'] else 'MISMATCH'} "
-        f"({'OK' if ok else 'UNDER TARGET'})"
-    )
-
-
-if __name__ == "__main__":
-    main()

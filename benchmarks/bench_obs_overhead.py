@@ -25,9 +25,9 @@ deployment approaches, so every per-tick cost is priced ~700x harsher
 here than in real time.  Keeping the guard green at that ratio is the
 point — sampling must stay cheap per tick, not just per wall second.
 
-Run directly (writes the JSON artifact)::
+Gate a fresh run against the committed artifact (and rewrite it)::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py
+    PYTHONPATH=src python -m benchmarks.gate obs_overhead
 
 or through pytest-benchmark::
 
@@ -35,20 +35,21 @@ or through pytest-benchmark::
 """
 
 import gc
-import json
-import os
 import statistics
 import time
 
 from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD
 from repro.testbed import Testbed
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_obs_overhead.json")
-
 #: The timed unit of work: a full verified migration with remote
 #: execution and fault prefetch — every instrumented code path fires.
 WORKLOAD = "lisp-del"
+
+#: The rule ``python -m benchmarks.gate obs_overhead`` enforces.
+GATE = {
+    "title": "Instrumentation overhead ({workload}, {repeats} repeats)",
+    "targets": (("sampling_overhead_fraction", "<", 0.05),),
+}
 
 
 def run_trial(instrument, sample_period=0.0):
@@ -131,18 +132,3 @@ def test_obs_overhead(benchmark):
     """CPU cost of one fully instrumented, continuously sampled trial."""
     result = benchmark(lambda: run_trial(True, DEFAULT_SAMPLE_PERIOD))
     assert result.verified
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    guarded = artifact["sampling_overhead_fraction"]
-    status = "OK" if guarded < 0.05 else "OVER TARGET"
-    print(f"sampling overhead: {guarded:+.2%} ({status})")
-
-
-if __name__ == "__main__":
-    main()

@@ -16,24 +16,19 @@ The adaptive strategy must beat serial pure-IOU there too.
 
 The artifact lands in ``BENCH_serving.json`` at the repo root.
 
-Run directly (writes the JSON artifact)::
+Gate a fresh run against the committed artifact (and rewrite it)::
 
-    PYTHONPATH=src python benchmarks/bench_serving.py
+    PYTHONPATH=src python -m benchmarks.gate serving
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_serving.py
 """
 
-import json
-import os
 import time
 
 from repro.cluster.stress import StressConfig
 from repro.serve import run_serve
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_serving.json")
 
 SEED = 11
 SERVICES = ("kv", "matmul", "stream")
@@ -46,6 +41,23 @@ ARMS = (
 #: The service the headline bar is judged on, and the bar itself.
 HEADLINE_SERVICE = "matmul"
 HEADLINE_TARGET = 1.5
+
+#: The rules ``python -m benchmarks.gate serving`` enforces.
+GATE = {
+    "title": ("During-migration serving latency ({scenario[hosts]} hosts, "
+              "seed {scenario[seed]})"),
+    "key": ("arm",),
+    "tolerance": {"rows.*.during_p99_s": "rise"},
+    "targets": (
+        ("rows.*.verified", "==", True),
+        ("during_p99_improvement.pure-iou-batched", ">=", "headline_target"),
+        ("during_p99_improvement.adaptive-batched", ">", 1.0),
+    ),
+    "tables": {"rows": (
+        "arm", "during_p50_s", "during_p99_s", "requests.completed",
+        "requests.dropped", "completed_migrations",
+    )},
+}
 
 
 def arm_config(strategy, batch, pipeline):
@@ -166,26 +178,3 @@ def test_every_arm_replays_bit_stably():
         first, _ = run_arm(strategy, batch, pipeline)
         second, _ = run_arm(strategy, batch, pipeline)
         assert first.determinism_hash == second.determinism_hash
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    for arm, improvement in artifact["during_p99_improvement"].items():
-        bar = (
-            artifact["headline_target"]
-            if arm == "pure-iou-batched" else 1.0
-        )
-        ok = improvement >= bar
-        print(
-            f"{arm}: {HEADLINE_SERVICE} during-migration p99 improvement "
-            f"{improvement}x over pure-iou-serial "
-            f"({'OK' if ok else 'UNDER TARGET'})"
-        )
-
-
-if __name__ == "__main__":
-    main()

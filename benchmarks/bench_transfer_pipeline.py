@@ -15,23 +15,18 @@ The headline claims checked here:
 * ``batch=8, pipeline=4`` cuts total stall time by >= 2x on both
   workloads (the tentpole acceptance bar).
 
-Run directly (writes the JSON artifact)::
+Gate a fresh run against the committed artifact (and rewrite it)::
 
-    PYTHONPATH=src python benchmarks/bench_transfer_pipeline.py
+    PYTHONPATH=src python -m benchmarks.gate transfer_pipeline
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_transfer_pipeline.py
 """
 
-import json
-import os
 import time
 
 from repro.testbed import Testbed
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_transfer_pipeline.json")
 
 SEED = 1987
 #: The fault-heavy representatives the acceptance bar applies to.
@@ -41,6 +36,24 @@ POINTS = ((1, 1), (4, 2), (8, 4), (16, 8))
 #: The point the >= 2x stall-reduction bar is judged at.
 HEADLINE = (8, 4)
 STALL_TARGET = 2.0
+
+#: The rules ``python -m benchmarks.gate transfer_pipeline`` enforces.
+GATE = {
+    "title": "Batched transfer pipeline (seed {scenario[seed]})",
+    "key": ("workload", "strategy", "batch", "pipeline"),
+    # Serial rows are the equivalence proof: every field matches exactly.
+    "exact": ("rows.*/1/1.*",),
+    "tolerance": {"rows.*.stall_s": "rise"},
+    "targets": (
+        ("rows.*.verified", "==", True),
+        ("serial_matches_golden.*", "==", True),
+        ("stall_reduction.*", ">=", "stall_target"),
+    ),
+    "tables": {"rows": (
+        "workload", "strategy", "batch", "pipeline", "stall_s",
+        "imag_faults", "end_to_end_s",
+    )},
+}
 
 #: Pre-refactor golden timings at the serial point:
 #: workload -> (transfer_s, exec_s, migration_s, bytes_total, pages).
@@ -164,24 +177,3 @@ def test_headline_point_halves_stall_time():
         serial_stall, _, _ = _stall_stats(serial)
         batched_stall, _, _ = _stall_stats(batched)
         assert serial_stall >= STALL_TARGET * batched_stall, workload
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    for workload, reduction in artifact["stall_reduction"].items():
-        ok = (
-            reduction >= artifact["stall_target"]
-            and artifact["serial_matches_golden"][workload]
-        )
-        print(f"{workload}: stall reduction {reduction}x at "
-              f"batch={HEADLINE[0]}/pipeline={HEADLINE[1]}, serial golden "
-              f"{'match' if artifact['serial_matches_golden'][workload] else 'MISMATCH'} "
-              f"({'OK' if ok else 'UNDER TARGET'})")
-
-
-if __name__ == "__main__":
-    main()
