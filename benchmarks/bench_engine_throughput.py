@@ -1,15 +1,16 @@
 """Engine-throughput baseline: how many events/s does dispatch sustain?
 
 Events/s per stress shape is the engine's end-to-end number: an engine
-change is judged against the committed baseline, and the profiled cost
-centers say where to cut.  This benchmark runs the seeded stress
+change is judged against the committed baseline, and the sampled
+profile says where to cut.  This benchmark runs the seeded stress
 harness across several shapes — small, wide (many hosts), deep (many
 processes per host), and serving-heavy — measuring host events/s for
 each with the engine's own ``wall_s`` dispatch clock (two
 ``perf_counter`` reads per ``run()`` call, nothing per event), then
-repeats the reference shape under the
-:class:`~repro.obs.prof.EngineProfiler` to record the top-5
-profiler-attributed cost centers.  The artifact lands in
+repeats the reference shape in alternating unprofiled/profiled pairs
+under the sampling :class:`~repro.obs.prof.EngineProfiler` to record
+per-layer host shares, the top-5 sampled functions and what sampling
+costs (``wall_ratio``, report-only).  The artifact lands in
 ``BENCH_engine_throughput.json`` at the repo root; CI re-runs the bench
 through ``benchmarks.gate`` and **fails** on a >10% events/s drop on
 any shape against the committed file (and, unconditionally, on any
@@ -26,7 +27,13 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_throughput.py
 """
 
+import statistics
+from contextlib import nullcontext
+
+import pytest
+
 from repro.cluster import StressConfig, run_stress
+from repro.obs.layers import LAYERS
 from repro.obs.prof import EngineProfiler, profiled
 
 SEED = 7
@@ -45,7 +52,9 @@ SHAPES = (
                      clients_per_service=2, requests_per_client=40)),
 )
 PROFILED_SHAPE = "reference"
-TOP_CENTERS = 5
+TOP_FUNCTIONS = 5
+#: Alternating unprofiled/profiled runs of the profiled shape.
+PAIRS = 10
 
 #: The rules ``python -m benchmarks.gate engine_throughput`` enforces.
 GATE = {
@@ -56,13 +65,9 @@ GATE = {
     "targets": (("rows.*.verified", "==", True),),
     "tables": {
         "rows": ("shape", "events_dispatched", "events_per_s"),
-        "profile": (
-            "coverage", "peak_queue_depth", "queue_lanes.near.peak_depth",
-            "queue_lanes.far.peak_depth", "queue_lanes.far.rolls",
-        ),
-        "profile.top_cost_centers": (
-            "subsystem", "handler", "event", "count", "share",
-        ),
+        "profile": ("coverage", "samples", "wall_ratio", "pairs"),
+        "profile.layers": tuple(LAYERS),
+        "profile.top_functions": ("layer", "function", "samples", "share"),
     },
 }
 
@@ -99,63 +104,40 @@ def run_shape(kwargs):
 
 
 def profile_shape(kwargs):
-    """Top cost centers for one shape under the engine profiler."""
+    """Sampled host-time profile of one shape, and what sampling costs.
+
+    Runs :data:`PAIRS` unprofiled/profiled pairs; the samples of every
+    profiled run feed one report.  ``wall_ratio`` is the median
+    over pairs of profiled over unprofiled engine wall time.
+    """
     profiler = EngineProfiler()
-    with profiled(profiler):
-        config = StressConfig(seed=SEED, **kwargs)
-        run_stress(config)
+    ratios = []
+    for pair in range(PAIRS):
+        wall = {}
+        # Alternate which side runs first, so host drift favours neither.
+        for profiling in (pair % 2 == 1, pair % 2 == 0):
+            with profiled(profiler) if profiling else nullcontext():
+                result = run_stress(StressConfig(seed=SEED, **kwargs))
+            wall[profiling] = result.obs._engine.wall_s
+        ratios.append(wall[True] / wall[False])
     report = profiler.report()
-    # The profiler's own bookkeeping row is excluded from the top-N:
-    # the baseline records what the *engine* spends its time on.  Its
-    # share is reported separately so the overhead stays visible.
-    engine_rows = [
-        row for row in report["cost_centers"]
-        if row["subsystem"] != "profiler"
-    ]
-    overhead = sum(
-        row["self_s"] for row in report["cost_centers"]
-        if row["subsystem"] == "profiler"
-    )
-    centers = [
-        {
-            "subsystem": row["subsystem"],
-            "handler": row["handler"],
-            "event": row["event"],
-            "count": row["count"],
-            "self_s": round(row["self_s"], 6),
-            "share": round(row["share"], 4),
-            "alloc_blocks": row["alloc_blocks"],
-        }
-        for row in engine_rows[:TOP_CENTERS]
-    ]
-    queue = report["queue"]
-
-    def lane(stats):
-        row = {
-            "pushes": stats["pushes"],
-            "push_s": round(stats["push_s"], 6),
-            "pops": stats["pops"],
-            "pop_s": round(stats["pop_s"], 6),
-            "peak_depth": stats["peak_depth"],
-        }
-        if "rolls" in stats:
-            row["rolls"] = stats["rolls"]
-        return row
-
     return {
         "coverage": round(report["coverage"], 4),
-        "profiler_overhead_share": round(
-            overhead / report["engine_wall_s"], 4
-        ) if report["engine_wall_s"] else 0.0,
-        "peak_queue_depth": queue["peak_depth"],
-        "queue_push_s": round(queue["push_s"], 6),
-        "queue_pop_s": round(queue["pop_s"], 6),
-        "queue_skipped": queue["skipped"],
-        "queue_lanes": {
-            "near": lane(queue["near"]),
-            "far": lane(queue["far"]),
+        "samples": report["samples"],
+        "wall_ratio": round(statistics.median(ratios), 4),
+        "pairs": PAIRS,
+        "layers": {
+            layer: round(share, 4) for layer, share in report["layers"].items()
         },
-        "top_cost_centers": centers,
+        "top_functions": [
+            {
+                "layer": row["layer"],
+                "function": row["function"],
+                "samples": row["samples"],
+                "share": round(row["share"], 4),
+            }
+            for row in report["functions"][:TOP_FUNCTIONS]
+        ],
     }
 
 
@@ -190,15 +172,11 @@ def test_shapes_dispatch_and_verify():
 
 
 def test_profiler_attributes_reference_shape():
-    """The profiled reference shape attributes ≥95% of wall time."""
+    """The sampled reference shape finds program code in ≥95% of
+    samples, over the declared layers only."""
     profile = profile_shape(dict(SHAPES)[PROFILED_SHAPE])
     assert profile["coverage"] >= 0.95
-    assert len(profile["top_cost_centers"]) == TOP_CENTERS
-    lanes = profile["queue_lanes"]
-    # Every dispatch is a near-lane pop; far-lane pops happen in rolls.
-    assert lanes["near"]["pops"] > 0
-    assert lanes["far"]["rolls"] > 0
-    assert lanes["far"]["pops"] <= lanes["far"]["pushes"]
-    assert profile["peak_queue_depth"] >= max(
-        lanes["near"]["peak_depth"], lanes["far"]["peak_depth"]
-    )
+    assert list(profile["layers"]) == list(LAYERS)
+    assert sum(profile["layers"].values()) == pytest.approx(1.0, abs=1e-3)
+    assert len(profile["top_functions"]) == TOP_FUNCTIONS
+    assert profile["wall_ratio"] > 0

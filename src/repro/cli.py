@@ -34,9 +34,9 @@ def _add_common(parser, trace=False, faults=False):
         "--profile",
         action="store_true",
         help=(
-            "run under the host-time engine profiler and print the "
-            "cost-center table afterwards (zero overhead when off; "
-            "simulated results are byte-identical either way — see "
+            "run under the sampling engine profiler and print the "
+            "per-layer and per-function host-time tables afterwards "
+            "(simulated results are byte-identical either way — see "
             "`repro profile` for export options)"
         ),
     )
@@ -587,14 +587,14 @@ def build_parser():
     profile = commands.add_parser(
         "profile",
         help=(
-            "run any repro subcommand under the host-time engine "
-            "profiler: wall-clock self-time per event type / handler / "
-            "subsystem, queue costs, allocation counts"
+            "run any repro subcommand under the sampling engine "
+            "profiler: host-time shares per declared layer and per "
+            "function, engine events and wall time"
         ),
     )
     profile.add_argument(
         "--top", type=int, default=15, metavar="N",
-        help="cost centers to show in the text table",
+        help="functions to show in the text table",
     )
     profile.add_argument(
         "--json", metavar="FILE", default=None,
@@ -1379,15 +1379,14 @@ def cmd_health(args, out):
 
 
 def cmd_profile(args, out):
-    """Run any repro subcommand under the host-time engine profiler.
+    """Run any repro subcommand under the sampling engine profiler.
 
     The wrapped command runs unchanged (its simulated outputs are
-    byte-identical to an unprofiled run), then the profiler's
-    cost-center table prints: wall-clock self-time per event type /
-    handler / subsystem, event-queue costs, peak queue depth, and
-    allocation counts, with ≥95% of measured engine wall time
-    attributed to named centers.  Exits with the wrapped command's
-    code (2 on usage errors here).
+    byte-identical to an unprofiled run), then the profile prints:
+    engine events and wall time, sample coverage, each declared
+    layer's share of the sampled host time, and the most sampled
+    functions.  Exits with the wrapped command's code (2 on usage
+    errors here).
     """
     from time import perf_counter
 
@@ -1498,7 +1497,7 @@ def main(argv=None, out=print):
     """CLI entry point; returns a process exit code.
 
     ``--profile`` on any trial command wraps just that command's
-    execution in the engine profiler and prints the cost-center table
+    execution in the engine profiler and prints the profile
     afterwards; the command's own output and exit code are unchanged
     (``repro profile`` adds export options on top of this).
     """

@@ -32,7 +32,7 @@ from repro.obs import causal
 class ResidualFlusher:
     """Per-host daemon: pumps owed pages out, installs pushed pages in."""
 
-    def __init__(self, host, batch_pages=None, interval_s=None, pipeline=1):
+    def __init__(self, host, batch_pages=None, interval_s=None):
         self.host = host
         self.engine = host.engine
         calibration = host.calibration
@@ -44,17 +44,10 @@ class ResidualFlusher:
             interval_s if interval_s is not None
             else calibration.flush_interval_s
         )
-        #: Push batches kept in flight concurrently per pump.  1 is the
-        #: original stop-and-wait trickle; deeper pipelines overlap
-        #: batch serialisation on the link the same way the batched
-        #: fault path overlaps reply parts.
-        self.pipeline = pipeline
         if self.batch_pages <= 0:
             raise ValueError(f"batch_pages must be > 0, got {self.batch_pages}")
         if self.interval_s < 0:
             raise ValueError(f"interval_s must be >= 0, got {self.interval_s}")
-        if self.pipeline < 1:
-            raise ValueError(f"pipeline must be >= 1, got {self.pipeline}")
         self.port = host.create_port(name=f"{host.name}-flusher")
         #: Pump processes started on behalf of registered segments.
         self.pumps = []
@@ -96,11 +89,6 @@ class ResidualFlusher:
         )
 
     def _pump(self, segment, dest_port, process_name, backer, trace_ctx=None):
-        if self.pipeline > 1:
-            yield from self._pump_pipelined(
-                segment, dest_port, process_name, backer, trace_ctx
-            )
-            return
         obs = self.host.metrics.obs
         registry = obs.registry
         flushed = registry.counter("flushed_pages_total", labels=("host",))
@@ -151,99 +139,6 @@ class ResidualFlusher:
             backer.note_progress(segment)
             if segment.owed and self.interval_s > 0:
                 yield self.engine.timeout(self.interval_s)
-
-    def _pump_pipelined(self, segment, dest_port, process_name, backer,
-                        trace_ctx=None):
-        """Pump with up to :attr:`pipeline` push batches in flight.
-
-        Each wave ships ``pipeline`` batches concurrently (their
-        fragments interleave on the capacity-1 medium, sharing
-        bandwidth) and joins them all before pacing the next wave, so
-        one unreachable destination still stops the pump.
-        """
-        obs = self.host.metrics.obs
-        registry = obs.registry
-        flushed = registry.counter("flushed_pages_total", labels=("host",))
-        failures = registry.counter("flush_failures_total", labels=("host",))
-        parent = trace_ctx.span if trace_ctx is not None else None
-        batches = 0
-        engine = self.engine
-        while True:
-            if segment.dead or not segment.owed or self.host.crashed:
-                return
-            window = sorted(segment.owed)[
-                : self.batch_pages * self.pipeline
-            ]
-            waves = [
-                window[start:start + self.batch_pages]
-                for start in range(0, len(window), self.batch_pages)
-            ]
-            legs = []
-            for batch in waves:
-                pages = {index: segment.stash[index] for index in batch}
-                push = Message(
-                    dest=dest_port,
-                    op=OP_IMAG_PUSH,
-                    sections=[
-                        RegionSection(
-                            pages, force_copy=True, label="imag-push"
-                        )
-                    ],
-                    no_ious=True,
-                    meta={
-                        "process_name": process_name,
-                        "segment_id": segment.segment_id,
-                    },
-                )
-                batches += 1
-                batch_span = obs.tracer.span(
-                    "flush-batch",
-                    parent=parent,
-                    track=f"flusher/{self.host.name}",
-                    segment=segment.segment_id,
-                    batch=batches,
-                    pages=len(batch),
-                )
-                causal.attach(push, batch_span)
-                legs.append((
-                    batch,
-                    engine.process(
-                        self._ship_push(push, batch_span),
-                        name=f"{self.host.name}-push-{segment.label}"
-                             f"-{batches}",
-                    ),
-                ))
-            yield engine.all_of([leg for _batch, leg in legs])
-            failed = False
-            for batch, leg in legs:
-                if leg.value is not None:
-                    failed = True
-                    continue
-                for index in batch:
-                    segment.owed.discard(index)
-                segment.pages_delivered += len(batch)
-                flushed.inc(len(batch), host=self.host.name)
-            backer.note_progress(segment)
-            if failed:
-                failures.inc(1, host=self.host.name)
-                return
-            if segment.owed and self.interval_s > 0:
-                yield engine.timeout(self.interval_s)
-
-    def _ship_push(self, push, span):
-        """Generator: ship one push batch.
-
-        Returns the :class:`TransportError` on failure, None on
-        delivery, so the pipelined pump can join a whole wave with
-        ``all_of`` and inspect each leg afterwards.
-        """
-        try:
-            yield from self.host.kernel.send(push)
-        except TransportError as error:
-            return error
-        finally:
-            span.finish()
-        return None
 
     # -- destination side: installing -------------------------------------------
     def _serve(self):

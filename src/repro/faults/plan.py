@@ -111,8 +111,6 @@ class FlushConfig:
     enabled: bool = False
     batch_pages: int = 16
     interval_s: float = 0.05
-    #: Push batches kept in flight per pump (1 = stop-and-wait).
-    pipeline: int = 1
 
     def __post_init__(self):
         if self.batch_pages < 1:
@@ -122,10 +120,6 @@ class FlushConfig:
         if self.interval_s < 0:
             raise FaultPlanError(
                 f"flush interval must be >= 0, got {self.interval_s}"
-            )
-        if self.pipeline < 1:
-            raise FaultPlanError(
-                f"flush pipeline must be >= 1, got {self.pipeline}"
             )
 
 

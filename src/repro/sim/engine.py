@@ -36,10 +36,8 @@ dispatched: it does not advance ``dispatched``, never reaches the
 ``kind_log`` or observers, and its callbacks never run.
 
 The pop-roll-skip-dispatch sequence exists once, in
-:meth:`Engine._loop`, which serves every :meth:`Engine.run` mode.
-Instruments — the ``kind_log``, observers and the engine profiler
-(:mod:`repro.obs.prof`) — plug into its pre-dispatch, post-dispatch,
-roll and cancelled-skip hooks; none of them owns a copy of the loop.
+:meth:`Engine._loop`, which serves every :meth:`Engine.run` mode.  The
+engine profiler (:mod:`repro.obs.prof`) installs nothing in it.
 """
 
 import heapq
@@ -60,12 +58,9 @@ URGENT = 0
 #: to coalesce same-instant imaginary faults into one request.
 DEFERRED = 2
 
-#: When set (see :func:`repro.obs.prof.profiled`), every Engine built
-#: afterwards is handed to ``PROFILER.attach``, which installs the
-#: profiler as the engine's ``profiler`` — whose hooks the dispatch loop
-#: then calls.  ``None`` — the default — keeps the hot path untouched:
-#: the only residue is one attribute read per :meth:`Engine.run` call.
-PROFILER = None
+#: When set to a list (see :func:`repro.obs.prof.profiled`), every
+#: Engine built afterwards appends itself to it.
+PROFILED = None
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -122,10 +117,6 @@ class Engine:
         #: Simulated outputs ignore it; the observability layer reports
         #: it (events/s, ``repro diff`` wall deltas).
         self.wall_s = 0.0
-        #: The engine profiler, whose hooks the dispatch loop calls
-        #: (see :meth:`_loop`); set by ``PROFILER.attach`` at build
-        #: time.  ``None`` = no profiler.
-        self.profiler = None
         # kind -> last issued id (see :meth:`serial`).
         self._serials = {}
         #: When set to a list, dispatch appends each processed event's
@@ -134,8 +125,8 @@ class Engine:
         #: increment, and an observer callback costs more still); the
         #: log is folded into per-kind counts at export time.
         self.kind_log = None
-        if PROFILER is not None:
-            PROFILER.attach(self)
+        if PROFILED is not None:
+            PROFILED.append(self)
 
     def __repr__(self):
         pending = (len(self._heap) + len(self._lane_urgent)
@@ -363,10 +354,7 @@ class Engine:
         whose processing ends the run.  Near-lane entries always sit at
         ``now`` and the clock moves only in a roll, which tests the
         horizon, so the only other horizon test is the one here at
-        entry: ``run(until=now)`` dispatches nothing.  The
-        ``kind_log``, observers and profiler are that loop's hooks, so
-        event order, and every simulated output, is the same with or
-        without them.
+        entry: ``run(until=now)`` dispatches nothing.
         """
         target = None
         horizon = _INF
@@ -397,38 +385,16 @@ class Engine:
         while a target is pending.  ``Event._process`` is inlined
         (events do not override it).
 
-        Instruments plug into hook points, read once at entry:
-
-        * pre-dispatch ``fn(event)``, before the event's callbacks run —
-          the ``kind_log`` append, then the profiler's;
-        * post-dispatch ``fn(now, event)``, after them — each observer,
-          then the profiler's;
-        * roll ``fn(engine)``, once the clock has moved to a new instant;
-        * cancelled-skip ``fn(event)``, for each dropped cancelled entry.
-
-        Only the profiler uses the last two (for its lane statistics).
-        Hooks only observe, so event order, and therefore every
-        simulated output, is the same with any set of them attached.
-        With none, the per-event residue is two empty-list truthiness
-        tests.  A separate hook-free copy of this loop measured about
-        1.5% more events/s on a zero-work timeout ping-pong and about 1%
-        on the 16-host/64-process stress shape (paired medians of
-        thread CPU time, one pinned core of a 2-vCPU VM) — less than
-        the 3% a second copy would have to earn.
+        The ``kind_log`` gets each event's class before its callbacks
+        run and each observer ``fn(now, event)`` after them; both only
+        observe, so every simulated output is the same with or without
+        them.  Without them the per-event residue is two tests.  A
+        separate instrument-free copy of this loop measured about 1% more
+        events/s on the 16-host/64-process stress shape (paired medians,
+        one pinned core of a 2-vCPU VM), short of the 3% it must earn.
         """
-        pre = []
-        post = list(self._observers)
-        on_roll = on_skip = None
         log = self.kind_log
-        if log is not None:
-            append = log.append
-            pre.append(lambda event: append(event.__class__))
-        profiler = self.profiler
-        if profiler is not None:
-            pre.append(profiler.pre_dispatch)
-            post.append(profiler.post_dispatch)
-            on_roll = profiler.on_roll
-            on_skip = profiler.on_skip
+        observers = list(self._observers)
         entered = perf_counter()
         heap = self._heap
         lane_urgent = self._lane_urgent
@@ -454,8 +420,6 @@ class Engine:
                         entry = pop(heap)
                         lanes[entry[1]].append(entry[3])
                     self._now = when
-                    if on_roll is not None:
-                        on_roll(self)
                     continue
                 elif target is None:
                     return
@@ -466,22 +430,19 @@ class Engine:
                     )
                 if cancelled and event in cancelled:
                     cancelled.discard(event)
-                    if on_skip is not None:
-                        on_skip(event)
                     continue
                 dispatched += 1
-                if pre:
-                    for fn in pre:
-                        fn(event)
+                if log is not None:
+                    log.append(event.__class__)
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-                if post:
+                if observers:
                     now = self._now
-                    for fn in post:
+                    for fn in observers:
                         fn(now, event)
         finally:
             self.dispatched += dispatched

@@ -103,7 +103,6 @@ class TestbedWorld:
                         host,
                         batch_pages=fault_plan.flush.batch_pages,
                         interval_s=fault_plan.flush.interval_s,
-                        pipeline=fault_plan.flush.pipeline,
                     )
         #: Continuous fleet telemetry, or None when sampling is off
         #: (``--sample-period`` / ``--slo``).  SLO specs alone imply

@@ -48,6 +48,7 @@ def test_round_trips_through_json(tmp_path):
     {"flush": {"enabled": True, "batch_pages": 0}},
     {"typo": []},
     {"loss": [{"rat": 0.1}]},
+    {"flush": {"enabled": True, "pipeline": 2}},  # the knob was removed
 ])
 def test_malformed_plans_raise(bad):
     with pytest.raises(FaultPlanError):

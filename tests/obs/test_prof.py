@@ -1,17 +1,17 @@
-"""The host-time engine profiler: attribution without perturbation."""
+"""The sampling engine profiler: attribution without perturbation."""
 
-import gc
 import json
+import sys
 
 import pytest
 
 from repro.cluster.stress import StressConfig, run_stress
 from repro.obs import jsonl_lines
+from repro.obs.layers import LAYERS
 from repro.obs.prof import (
+    INTERVAL_S,
     EngineProfiler,
     build_speedscope,
-    classify_handler,
-    normalize,
     profiled,
     render_profile,
     write_speedscope,
@@ -35,7 +35,7 @@ class TestNonPerturbation:
         profiler = EngineProfiler()
         with profiled(profiler):
             traced = run_stress(CONFIG, instrument=True)
-        assert profiler.events > 0  # the hook actually engaged
+        assert profiler.report()["events"] > 0  # the engine was recorded
         assert _jsonl_blob(plain) == _jsonl_blob(traced)
         assert plain.determinism_hash == traced.determinism_hash
 
@@ -50,18 +50,23 @@ class TestNonPerturbation:
     def test_hook_restored_after_context(self):
         from repro.sim import engine as engine_module
 
-        assert engine_module.PROFILER is None
-        with profiled(EngineProfiler()):
-            assert engine_module.PROFILER is not None
-        assert engine_module.PROFILER is None
-        assert Engine().profiler is None
+        switch = sys.getswitchinterval()
+        assert engine_module.PROFILED is None
+        profiler = EngineProfiler()
+        with profiled(profiler):
+            assert engine_module.PROFILED is profiler.engines
+            assert sys.getswitchinterval() == INTERVAL_S
+        assert engine_module.PROFILED is None
+        assert sys.getswitchinterval() == switch
+        Engine()
+        assert profiler.engines == []
 
     def test_engines_built_outside_context_stay_unhooked(self):
         before = Engine()
-        with profiled(EngineProfiler()):
+        with profiled(EngineProfiler()) as profiler:
             inside = Engine()
-        assert before.profiler is None
-        assert inside.profiler is not None
+        assert profiler.engines == [inside]
+        assert before not in profiler.engines
 
 
 class TestDispatchModes:
@@ -84,7 +89,7 @@ class TestDispatchModes:
             self._ticker(eng, marks)
             assert eng.run() is None
         assert marks == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert profiler.events > 0
+        assert profiler.report()["events"] > 0
 
     def test_until_event_returns_value(self):
         with profiled(EngineProfiler()):
@@ -118,7 +123,7 @@ class TestDispatchModes:
 class TestEngineAttachment:
     def test_every_sequential_engine_is_attached(self):
         """A sweep builds, runs and drops one engine per trial; each is
-        adopted, even where CPython reuses a collected engine's id."""
+        recorded, and the report sums their dispatch counters."""
         n = 50
         profiler = EngineProfiler()
         with profiled(profiler):
@@ -127,169 +132,89 @@ class TestEngineAttachment:
                 eng.timeout(1.0)
                 eng.run()
                 del eng
-        far = profiler.report()["queue"]["far"]
-        assert profiler.engines == n
-        assert far["pushes"] == n
-        assert far["pops"] == far["pushes"]
-        assert far["rolls"] == n
+        report = profiler.report()
+        assert report["engines"] == len(profiler.engines) == n
+        assert report["events"] == n
+        assert report["engine_wall_s"] == pytest.approx(
+            sum(engine.wall_s for engine in profiler.engines))
 
     def test_cancelled_entry_is_counted_as_skipped(self):
+        """A cancelled entry is skipped: neither the engine nor the
+        profile counts it as an event."""
         profiler = EngineProfiler()
         with profiled(profiler):
             eng = Engine()
             victim = eng.timeout(2.0)
             eng.timeout(1.0).callbacks.append(lambda event: victim.cancel())
             eng.run()
-        queue = profiler.report()["queue"]
-        assert profiler.events == eng.dispatched == 1
-        assert queue["skipped"] == 1
-        assert queue["near"]["pops"] == 2
-        assert queue["far"]["pops"] == queue["far"]["pushes"] == 2
+        assert profiler.report()["events"] == eng.dispatched == 1
+
+
+@pytest.fixture(scope="module")
+def stress_profiler():
+    """One profiled stress run long enough for ~50 samples."""
+    profiler = EngineProfiler()
+    with profiled(profiler):
+        run_stress(StressConfig(hosts=8, procs=24, seed=7))
+    return profiler
+
+
+@pytest.fixture
+def report(stress_profiler):
+    return stress_profiler.report()
 
 
 class TestAttribution:
-    def _profiled_stress(self):
-        profiler = EngineProfiler()
-        with profiled(profiler):
-            run_stress(CONFIG)
-        return profiler
-
-    def test_coverage_is_at_least_95_percent(self):
-        profiler = self._profiled_stress()
-        report = profiler.report()
+    def test_coverage_is_at_least_95_percent(self, report):
         assert report["coverage"] >= 0.95
+        assert report["samples"] > 0
         assert report["engine_wall_s"] > 0
 
-    def test_cost_center_time_tiles_engine_wall_time(self):
-        profiler = self._profiled_stress()
-        report = profiler.report()
-        total = sum(row["self_s"] for row in report["cost_centers"])
-        assert total == pytest.approx(report["engine_wall_s"], rel=0.05)
+    def test_layer_shares_sum_to_one(self, report):
+        assert sum(report["layers"].values()) == pytest.approx(1.0)
+        assert sum(row["share"] for row in report["functions"]) == (
+            pytest.approx(1.0))
 
-    def test_event_counts_match_engine(self):
-        profiler = self._profiled_stress()
-        report = profiler.report()
-        counted = sum(
-            row["count"] for row in report["cost_centers"]
-            if row["subsystem"] not in ("profiler", "queue")
-        )
-        assert counted == report["events"] == profiler.events
-        # Every dispatched event is one near-lane pop (no cancels here).
-        assert report["queue"]["near"]["pops"] == report["events"]
+    def test_every_reported_layer_is_declared(self, report):
+        assert list(report["layers"]) == list(LAYERS)
+        assert {row["layer"] for row in report["functions"]} <= set(LAYERS)
+        for row in report["stacks"]:
+            assert {layer for layer, _ in row["stack"]} <= set(LAYERS)
 
-    def test_queue_costs_and_peak_depth_recorded(self):
-        profiler = self._profiled_stress()
-        report = profiler.report()
-        queue = report["queue"]
-        assert queue["pushes"] > 0
-        assert queue["push_s"] > 0
-        assert queue["pop_s"] > 0
-        assert queue["peak_depth"] > 1
+    def test_event_counts_match_engine(self, stress_profiler, report):
+        (engine,) = stress_profiler.engines
+        assert report["events"] == engine.dispatched > 0
+        assert report["engine_wall_s"] == engine.wall_s
 
-    def test_per_lane_queue_stats_are_consistent(self):
-        """The whole-queue totals are exactly the per-lane sums, every
-        far-lane push eventually rolls back out through the near lane,
-        and nothing was skipped in a cancel-free run."""
-        profiler = self._profiled_stress()
-        report = profiler.report()
-        queue = report["queue"]
-        near, far = queue["near"], queue["far"]
-        assert queue["pushes"] == near["pushes"] + far["pushes"]
-        assert queue["pops"] == near["pops"] + far["pops"]
-        assert queue["push_s"] == pytest.approx(
-            near["push_s"] + far["push_s"])
-        assert queue["pop_s"] == pytest.approx(near["pop_s"] + far["pop_s"])
-        assert queue["skipped"] == 0
-        # A stress run schedules real (strictly-future) timeouts: both
-        # lanes see traffic, and every far push is eventually rolled.
-        assert near["pushes"] > 0 and far["pushes"] > 0
-        assert far["pops"] == far["pushes"]
-        assert far["rolls"] > 0
-        assert near["peak_depth"] > 0 and far["peak_depth"] > 1
-        assert queue["peak_depth"] <= near["peak_depth"] + far["peak_depth"]
+    def test_functions_are_innermost_frames(self, report):
+        """Each sample lands in the bucket of its innermost frame, so
+        the buckets count every sample that found a ``repro`` frame."""
+        assert sum(row["samples"] for row in report["functions"]) == sum(
+            row["samples"] for row in report["stacks"])
+        innermost = {tuple(row["stack"][-1]) for row in report["stacks"]}
+        assert {(row["layer"], row["function"])
+                for row in report["functions"]} == innermost
+        assert all(":" in row["function"] for row in report["functions"])
+        for layer, share in report["layers"].items():
+            assert share == pytest.approx(sum(
+                row["share"] for row in report["functions"]
+                if row["layer"] == layer))
 
-    def test_subsystems_cover_the_scenario(self):
-        profiler = self._profiled_stress()
-        subsystems = set(profiler.subsystems())
-        # A stress run exercises at least these engine subsystems.
-        assert {"workload", "net", "scheduler", "migration"} <= subsystems
+    def test_layers_cover_the_scenario(self, report):
+        sampled = {layer for layer, share in report["layers"].items()
+                   if share}
+        # The engine itself runs under every stress command.
+        assert "sim" in sampled
 
-    def test_allocations_counted(self):
-        profiler = self._profiled_stress()
-        report = profiler.report()
-        assert sum(r["alloc_blocks"] for r in report["cost_centers"]) > 0
-
-    def test_collector_frees_are_not_charged_to_the_handler(self):
-        """A cyclic-collector pass inside a dispatch frees garbage the
-        handler never allocated; it must not turn that handler's count
-        (or a whole run's) negative."""
-        profiler = EngineProfiler()
-        garbage = []
-        for _ in range(5000):
-            cycle = []
-            cycle.append(cycle)
-            garbage.append(cycle)
-        gc.disable()
-        try:
-            with profiled(profiler):
-                eng = Engine()
-
-                def collector(eng):
-                    yield eng.timeout(1.0)
-                    gc.collect()
-
-                eng.process(collector(eng), name="collector")
-                del garbage[:], cycle
-                eng.run()
-        finally:
-            gc.enable()
-        assert profiler.on_gc not in gc.callbacks
-        rows = [row for row in profiler.report()["cost_centers"]
-                if row["handler"] == "collector"]
-        assert rows
-        assert all(abs(row["alloc_blocks"]) < 100 for row in rows)
-
-    def test_render_profile_mentions_top_center(self):
-        profiler = self._profiled_stress()
-        report = profiler.report()
+    def test_render_profile_mentions_top_center(self, report):
         text = render_profile(report, top=5)
-        top = report["cost_centers"][0]
-        assert top["handler"] in text
+        assert report["functions"][0]["function"] in text
         assert "events dispatched" in text
-        assert "per-subsystem rollup" in text
-
-
-class TestClassification:
-    @pytest.mark.parametrize("name,subsystem", [
-        ("node3-migmgr", "migration"),
-        ("alpha-ship-core", "migration"),
-        ("frag-imag.read", "net"),
-        ("beta-nms", "net"),
-        ("beta-nms-backer", "pager"),
-        ("alpha-pager-dispatch", "pager"),
-        ("alpha-flusher", "flusher"),
-        ("telemetry-sampler", "telemetry"),
-        ("stress-arrivals", "scheduler"),
-        ("balancer", "scheduler"),
-        ("serve-kv-1", "serve"),
-        ("client-3", "serve"),
-        ("job-p12", "workload"),
-        ("fault-crash-alpha", "faults"),
-        ("mystery-daemon", "other"),
-    ])
-    def test_handler_classification(self, name, subsystem):
-        assert classify_handler(normalize(name)) == subsystem
-
-    def test_normalize_collapses_instance_ids(self):
-        assert normalize("follow-p03") == normalize("follow-p17")
+        assert "per-layer host share" in text
 
 
 class TestSpeedscope:
-    def test_speedscope_file_is_loadable_and_consistent(self, tmp_path):
-        profiler = EngineProfiler()
-        with profiled(profiler):
-            run_stress(CONFIG)
-        report = profiler.report()
+    def test_speedscope_file_is_loadable_and_consistent(self, report, tmp_path):
         path = tmp_path / "profile.speedscope.json"
         write_speedscope(str(path), report, name="test profile")
         data = json.loads(path.read_text())
@@ -299,24 +224,26 @@ class TestSpeedscope:
         profile = data["profiles"][0]
         assert profile["type"] == "sampled"
         assert len(profile["samples"]) == len(profile["weights"])
-        assert len(profile["samples"]) == len(report["cost_centers"])
+        assert len(profile["samples"]) == len(report["stacks"])
         frames = data["shared"]["frames"]
         for stack in profile["samples"]:
+            assert stack
             assert all(0 <= fid < len(frames) for fid in stack)
-        # Weights are microseconds summing to the attributed time.
-        total_us = sum(profile["weights"])
-        assert total_us == pytest.approx(report["attributed_s"] * 1e6,
-                                         rel=0.01)
-        assert profile["endValue"] == pytest.approx(total_us, abs=0.01)
+        # Weights are milliseconds: samples times the sampling period.
+        in_program = sum(row["samples"] for row in report["stacks"])
+        total_ms = sum(profile["weights"])
+        assert total_ms == pytest.approx(
+            in_program * report["interval_s"] * 1e3)
+        assert profile["endValue"] == pytest.approx(total_ms)
 
-    def test_stacks_roll_up_subsystem_handler_event(self):
-        profiler = EngineProfiler()
-        with profiled(profiler):
-            run_stress(CONFIG)
-        data = build_speedscope(profiler.report())
+    def test_stacks_run_outermost_first(self, report):
+        """The sampled stacks start at the command's outer frames and
+        end in the frame that was running."""
+        data = build_speedscope(report)
         frames = [f["name"] for f in data["shared"]["frames"]]
-        sample = data["profiles"][0]["samples"][0]
-        assert len(sample) in (2, 3)
-        # Root frame of each stack is a subsystem name.
-        subsystems = set(profiler.subsystems())
-        assert frames[sample[0]] in subsystems
+        profile = data["profiles"][0]
+        for stack, row in zip(profile["samples"], report["stacks"]):
+            layer, function = row["stack"][-1]
+            assert frames[stack[-1]] == f"{function} [{layer}]"
+        roots = {frames[stack[0]] for stack in profile["samples"]}
+        assert any("run_stress" in root for root in roots)

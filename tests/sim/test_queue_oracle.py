@@ -18,9 +18,9 @@ Each program exercises the hostile cases:
 * ``Engine.serial`` draws interleaved with dispatch,
 * all three run modes (drain, horizon, until-event) including resumed
   runs, plus ``run(until=now)`` with same-instant events pending,
-* every dispatch variant: no hooks, a ``kind_log``, an observer, and
-  the engine profiler; the ``kind_log`` and observer streams must
-  match the reference's too.
+* every dispatch variant: no instruments, a ``kind_log``, an
+  observer, and an engine built under the sampling profiler; the
+  ``kind_log`` and observer streams must match the reference's too.
 
 Run with a pinned seed to reproduce a failure from the log line alone:
 
@@ -193,7 +193,7 @@ def run_variant(make_engine, plan, mode, variant):
         )
     log = run_case(engine, plan, mode)
     if variant == "profiled":
-        assert profiler.events == engine.dispatched
+        assert profiler.report()["events"] == engine.dispatched
     log.append((variant, stream))
     return log
 

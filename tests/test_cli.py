@@ -499,14 +499,14 @@ def test_profile_flag_does_not_change_simulated_output():
             line for line in text.splitlines()
             if not line.startswith("wall clock")
             and "profile of" not in line
-            and "cost center" not in line
+            and "more function(s)" not in line
         ]
 
     # Every simulated-output line of the plain run appears verbatim in
-    # the profiled run (which then appends the profiler table).
+    # the profiled run (which then appends the profiler tables).
     plain = simulated(text_off)
     assert plain == simulated(text_on)[: len(plain)]
-    assert "per-subsystem rollup" in text_on
+    assert "per-layer host share" in text_on
 
 
 def test_profile_command_wraps_stress(tmp_path):
@@ -523,7 +523,7 @@ def test_profile_command_wraps_stress(tmp_path):
     assert "events dispatched" in text
     data = json.loads(report.read_text(encoding="utf-8"))
     assert data["coverage"] >= 0.95
-    assert data["cost_centers"]
+    assert data["functions"]
     scope = json.loads(flame.read_text(encoding="utf-8"))
     assert scope["profiles"][0]["type"] == "sampled"
 
