@@ -2,8 +2,9 @@
 
 Each scenario here runs a small instrumented world — one per simulation
 family (migrate / stress / batched transfer / serving / fault
-injection / content store, serial and batched) — and serialises its
-full observability export to canonical JSONL.  The committed ``.jsonl.gz`` files pin those bytes; the test in
+injection / content store, serial and batched / migration chain /
+pre-copy) — and serialises its full observability export to canonical
+JSONL.  The committed ``.jsonl.gz`` files pin those bytes; the test in
 ``test_golden_corpus.py`` re-runs every scenario and byte-compares, so
 a queue or dispatch change that silently reorders *anything* the
 randomized oracle misses fails loudly here.
@@ -101,6 +102,20 @@ def _faults():
     )
 
 
+def _chain():
+    from repro.testbed import Testbed
+
+    return Testbed(seed=1987, instrument=True).migrate_chain(
+        "pm-start", strategy="pure-iou", run_fractions=(0.4,)
+    )
+
+
+def _precopy():
+    from repro.testbed import Testbed
+
+    return Testbed(seed=1987, instrument=True).migrate_precopy("minprog")
+
+
 #: scenario name -> zero-argument runner returning a result with ``.obs``.
 SCENARIOS = {
     "migrate": _migrate,
@@ -110,6 +125,8 @@ SCENARIOS = {
     "faults": _faults,
     "store": _store,
     "store-batched": _store_batched,
+    "chain": _chain,
+    "precopy": _precopy,
 }
 
 
