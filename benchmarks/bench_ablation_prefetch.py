@@ -13,7 +13,9 @@ from repro.testbed import Testbed
 
 
 def pm_start_pf7():
-    return Testbed(seed=1987).migrate("pm-start", strategy="pure-iou", prefetch=7)
+    return Testbed(seed=1987).migrate(
+        "pm-start", strategy="pure-iou", options={"prefetch": 7}
+    )
 
 
 def test_ablation_prefetch_hit_ratios(benchmark, artifact, matrix):

@@ -12,7 +12,7 @@ from repro.testbed import Testbed
 
 def pm_end_pf15():
     return Testbed(seed=1987).migrate(
-        "pm-end", strategy="pure-iou", prefetch=15
+        "pm-end", strategy="pure-iou", options={"prefetch": 15}
     )
 
 

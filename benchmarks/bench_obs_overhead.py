@@ -57,7 +57,7 @@ def run_trial(instrument, sample_period=0.0):
     bed = Testbed(
         seed=1987, instrument=instrument, sample_period=sample_period,
     )
-    return bed.migrate(WORKLOAD, strategy="pure-iou", prefetch=1)
+    return bed.migrate(WORKLOAD, strategy="pure-iou", options={"prefetch": 1})
 
 
 #: (artifact key, instrument, sample period) per timed arm.

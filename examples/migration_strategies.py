@@ -41,7 +41,9 @@ def main():
 
     for strategy in (PURE_IOU, RESIDENT_SET):
         for prefetch in PREFETCHES:
-            result = bed.migrate(workload, strategy=strategy, prefetch=prefetch)
+            result = bed.migrate(
+                workload, strategy=strategy, options={"prefetch": prefetch}
+            )
             speedup = 100.0 * (base_te - result.transfer_plus_exec_s) / base_te
             label = f"{'iou' if strategy == PURE_IOU else 'rs'}-pf{prefetch}"
             hit = result.prefetch_hit_ratio

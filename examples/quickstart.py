@@ -29,7 +29,7 @@ def main():
     print("-" * len(header))
 
     for strategy in (PURE_COPY, PURE_IOU, RESIDENT_SET):
-        result = bed.migrate(workload, strategy=strategy, prefetch=0)
+        result = bed.migrate(workload, strategy=strategy)
         print(
             f"{strategy:>14}  {result.transfer_s:>8.2f}s  "
             f"{result.exec_s:>10.2f}s  {result.bytes_total:>11,}  "

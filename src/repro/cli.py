@@ -163,7 +163,7 @@ def _load_transfer(args, out):
 
     Out-of-range values report cleanly (exit 2) instead of a
     traceback.  The dict feeds ``options=`` on the testbed entry
-    points, which merge it with their per-command strategy default.
+    points; each command's ``--strategy`` overrides its strategy.
     """
     knobs = {
         "prefetch": getattr(args, "prefetch", 0),
@@ -789,14 +789,11 @@ def cmd_chain(args, out):
     if code:
         return code
     bed = Testbed(seed=args.seed, instrument=bool(args.trace), faults=plan)
-    fractions = args.run
-    if fractions is None:
-        fractions = [0.0] * (len(args.path) - 2)
     result = bed.migrate_chain(
         args.workload,
         path=tuple(args.path),
         strategy=args.strategy,
-        run_fractions=tuple(fractions),
+        run_fractions=args.run,
         options=knobs,
     )
     out(f"chain {' -> '.join(result.path)} under {result.strategy}")
@@ -806,6 +803,8 @@ def cmd_chain(args, out):
     out(f"bytes on wire     {result.bytes_total:,}")
     served = ", ".join(f"{h}={n}" for h, n in result.pages_served.items())
     out(f"pages served by   {served}")
+    if plan is not None:
+        _print_fault_stats(result, out)
     meta = _report_run_meta(out, [result.obs])
     out(f"verified          {result.verified}")
     if args.json:
@@ -813,6 +812,7 @@ def cmd_chain(args, out):
             "command": "chain",
             "workload": result.spec.name,
             "strategy": result.strategy,
+            "outcome": result.outcome,
             "path": list(result.path),
             "hop_times_s": list(result.hop_times_s),
             "end_to_end_s": result.end_to_end_s,
@@ -831,7 +831,7 @@ def cmd_chain(args, out):
             out,
         ):
             return 1
-    return 0 if result.verified else 1
+    return 0 if result.outcome == "completed" and result.verified else 1
 
 
 def cmd_precopy(args, out):
@@ -849,16 +849,20 @@ def cmd_precopy(args, out):
     out(f"pre-copy of {result.spec.name}: {len(result.rounds)} rounds")
     for index, round_ in enumerate(result.rounds, 1):
         out(f"  round {index}: {round_.pages} pages in {round_.seconds:.2f}s")
-    out(f"downtime          {result.downtime_s:.2f}s")
+    if result.downtime_s is not None:
+        out(f"downtime          {result.downtime_s:.2f}s")
     out(f"bytes on wire     {result.bytes_total:,}")
     out(f"pages shipped     {result.pages_shipped} "
         f"(address space holds {result.spec.real_pages})")
+    if plan is not None:
+        _print_fault_stats(result, out)
     meta = _report_run_meta(out, [result.obs])
     out(f"verified          {result.verified}")
     if args.json:
         payload = {
             "command": "precopy",
             "workload": result.spec.name,
+            "outcome": result.outcome,
             "rounds": [
                 {"pages": round_.pages, "seconds": round_.seconds}
                 for round_ in result.rounds
@@ -877,7 +881,7 @@ def cmd_precopy(args, out):
             args.trace, [(f"precopy-{result.spec.name}", result.obs)], out
         ):
             return 1
-    return 0 if result.verified else 1
+    return 0 if result.outcome == "completed" and result.verified else 1
 
 
 def cmd_balance(args, out):

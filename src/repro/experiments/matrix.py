@@ -37,7 +37,7 @@ class TrialMatrix:
         key = (str(workload), strategy, prefetch)
         if key not in self._cache:
             self._cache[key] = self.testbed.migrate(
-                workload, strategy=strategy, prefetch=prefetch
+                workload, strategy=strategy, options={"prefetch": prefetch}
             )
         return self._cache[key]
 

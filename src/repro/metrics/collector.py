@@ -6,8 +6,10 @@ fault counts and kinds (§4.3.3), and phase boundaries (Tables 4-4/4-5).
 
 Storage lives in the :class:`repro.obs.Registry` owned by the world's
 :class:`repro.obs.Instrumentation`, so the same numbers appear in
-exported traces without being kept twice; the legacy attribute views
-(``faults``, ``nms_busy_s``, ...) are derived from the registry.
+exported traces without being kept twice.  The attribute views
+(``faults``, ``total_link_bytes``, ...) are derived from the registry;
+they are the collector's API, read by the testbed's and the stress and
+serving harnesses' result classes.
 """
 
 from collections import Counter, namedtuple
@@ -117,19 +119,12 @@ class MetricsCollector:
         """Stamp the current simulated time under ``name``."""
         self.marks[name] = self.engine.now
 
-    # -- registry-derived legacy views -----------------------------------------
+    # -- registry-derived views ------------------------------------------------
     @property
     def faults(self):
         """Fault counts by kind ("fill-zero", "disk", "imaginary", ...)."""
         return Counter(
             {key[0]: child.value for key, child in self._faults.items()}
-        )
-
-    @property
-    def nms_busy_s(self):
-        """Message-handling CPU seconds, per host name."""
-        return Counter(
-            {key[0]: child.value for key, child in self._nms_busy.items()}
         )
 
     @property
@@ -183,9 +178,3 @@ class MetricsCollector:
     def span(self, start_mark, end_mark):
         """Elapsed simulated seconds between two marks."""
         return self.marks[end_mark] - self.marks[start_mark]
-
-    def prefetch_hit_ratio(self):
-        """Fraction of prefetched pages that were later referenced."""
-        if self.prefetched_pages == 0:
-            return None
-        return self.prefetch_hits / self.prefetched_pages

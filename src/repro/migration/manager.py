@@ -133,12 +133,8 @@ class MigrationManager:
             transfer_span.finish()
             obs.pop_phase(transfer_span)
             yield from self._rollback(
-                process_name, dest_manager, core, rimas, error
+                process_name, dest_manager, error, core, rimas
             )
-            raise MigrationAborted(
-                f"migration of {process_name!r} to "
-                f"{dest_manager.host.name} aborted: {error}"
-            ) from error
         transfer_span.finish()
         obs.pop_phase(transfer_span)
 
@@ -180,12 +176,8 @@ class MigrationManager:
         obs.pop_phase(transfer_span)
         if errors:
             yield from self._rollback(
-                process_name, dest_manager, core, rimas, errors[0]
+                process_name, dest_manager, errors[0], core, rimas
             )
-            raise MigrationAborted(
-                f"migration of {process_name!r} to "
-                f"{dest_manager.host.name} aborted: {errors[0]}"
-            ) from errors[0]
 
     def _ship_leg(self, message, span, mark):
         """Generator: send one context message on its own process.
@@ -198,21 +190,24 @@ class MigrationManager:
         try:
             yield from self.host.kernel.send(message)
         except TransportError as error:
-            span.add("failed", str(error))
+            span.add("failed")
             span.finish()
             return error
         self.host.metrics.mark(f"{mark}.end")
         span.finish()
         return None
 
-    def _rollback(self, process_name, dest_manager, core, rimas, error):
-        """Generator: undo a failed transfer by reinserting locally.
+    def _rollback(self, process_name, dest_manager, error, core=None,
+                  rimas=None):
+        """Generator: undo a failed transfer, then raise
+        :class:`MigrationAborted`.
 
         The excised context messages are still in hand, so the source
         simply runs InsertProcess on itself — the transactional property
         of the §3.2 protocol.  Any RIMAS sections already IOU-substituted
         point at this host's own backer, so later faults resolve without
-        touching the network.
+        touching the network.  Without ``core`` the process was never
+        excised (a failed pre-copy round) and keeps running here.
         """
         metrics = self.host.metrics
         obs = metrics.obs
@@ -220,9 +215,10 @@ class MigrationManager:
             "migration_aborts_total", labels=("host",)
         ).inc(1, host=self.host.name)
         dest_manager.abort_insertion(process_name, error)
-        metrics.mark("rollback.start")
-        yield from self.host.kernel.insert_process(core, rimas)
-        metrics.mark("rollback.end")
+        if core is not None:
+            metrics.mark("rollback.start")
+            yield from self.host.kernel.insert_process(core, rimas)
+            metrics.mark("rollback.end")
         root = obs.migration_roots.pop(process_name, None)
         if root is not None:
             for child in root.children:
@@ -230,6 +226,10 @@ class MigrationManager:
                     child.finish()
             root.add("aborted")
             root.finish()
+        raise MigrationAborted(
+            f"migration of {process_name!r} to "
+            f"{dest_manager.host.name} aborted: {error}"
+        ) from error
 
     def abort_insertion(self, process_name, error):
         """Destination-side cleanup when the source aborts a transfer.

@@ -14,7 +14,9 @@ context shipment without every strategy reimplementing the mechanics.
 :class:`TransferOptions` is the single options record the public entry
 points (``Testbed.migrate``/``migrate_precopy``/``migrate_chain``, the
 CLI's ``--prefetch/--batch/--pipeline`` flags, the stress harness and
-the load balancer) all share; see docs/transfer-plans.md.
+the load balancer) all share; see docs/transfer-plans.md.  Each takes
+it as ``options=`` (an instance or a dict), and an explicit
+``strategy=`` argument, where one is taken, overrides its strategy.
 """
 
 from dataclasses import dataclass, replace
@@ -33,7 +35,7 @@ class TransferOptions:
     ``strategy``
         Strategy name (or instance) deciding per-region treatment.
     ``prefetch``
-        Legacy backer-side knob: extra contiguous pages returned per
+        Backer-side knob: extra contiguous pages returned per
         single-page Imaginary Read Request (the paper's 0/1/3/7/15).
     ``batch``
         Requester-side window: pages targeted per batched Imaginary
@@ -81,21 +83,20 @@ class TransferOptions:
         return self.store or self.dedup
 
     @classmethod
-    def coerce(cls, options=None, **defaults):
+    def coerce(cls, options=None):
         """Normalise ``options`` into a :class:`TransferOptions`.
 
-        ``None`` builds one from ``defaults`` (the legacy positional
-        kwargs of the entry points); an existing instance wins over the
-        defaults entirely; a dict updates the defaults.
+        ``None`` gives the defaults, an instance is returned as is and
+        a dict supplies keyword arguments.  Entry points that also take
+        a ``strategy`` apply it afterwards with :meth:`with_strategy`,
+        so an explicit strategy always wins over the options' field.
         """
         if options is None:
-            return cls(**defaults)
+            return cls()
         if isinstance(options, cls):
             return options
         if isinstance(options, dict):
-            merged = dict(defaults)
-            merged.update(options)
-            return cls(**merged)
+            return cls(**options)
         raise TypeError(
             f"options must be TransferOptions, dict or None, "
             f"got {type(options).__name__}"

@@ -18,6 +18,7 @@ InsertProcess runs.
 from collections import namedtuple
 
 from repro.accent.ipc.message import Message, RegionSection
+from repro.faults.errors import TransportError
 
 #: Message op for an iterative pre-copy round.
 OP_PRECOPY_ROUND = "migrate.precopy.round"
@@ -49,10 +50,12 @@ def precopy_migrate(
 ):
     """Generator: migrate with iterative pre-copy.
 
-    Returns ``(rounds, downtime_started_at)``; phase marks are stamped
+    Returns the list of :class:`PrecopyRound`; phase marks are stamped
     like :meth:`MigrationManager.migrate`, plus ``downtime.start`` when
     the process is finally stopped (Table: downtime = trial end of the
-    transfer pipeline minus that mark).
+    transfer pipeline minus that mark).  A transport failure raises
+    :class:`~repro.migration.manager.MigrationAborted` with the process
+    running at the source, as :meth:`MigrationManager.migrate` does.
     """
     host = manager.host
     engine = manager.engine
@@ -95,7 +98,14 @@ def precopy_migrate(
             sections=[RegionSection(pages, force_copy=True, label="precopy")],
             meta={"process_name": process_name},
         )
-        yield from kernel.send(message)
+        try:
+            yield from kernel.send(message)
+        except TransportError as error:
+            # The process never stopped and still runs here, so the
+            # rollback only discards the peer's partial stash.
+            round_span.finish()
+            obs.pop_phase(precopy_span)
+            yield from manager._rollback(process_name, dest_manager, error)
         round_span.finish()
         elapsed = engine.now - started
         rounds.append(PrecopyRound(len(round_indices), elapsed))
@@ -125,31 +135,41 @@ def precopy_migrate(
     core.dest = dest_manager.port
     rimas.dest = dest_manager.port
 
-    transfer_span = root.child("transfer")
-    obs.push_phase(transfer_span)
-    with transfer_span.child("core"):
-        metrics.mark("core.start")
-        yield engine.timeout(host.calibration.migration_setup_s)
-        yield from kernel.send(core)
-        metrics.mark("core.end")
-
     # Final RIMAS: only the pages dirtied since the last round travel;
     # the destination merges its pre-copied stash for the rest.
     region = rimas.first_section(RegionSection)
+    position = rimas.sections.index(region)
     final_pages = {
         index: page
         for index, page in region.pages.items()
         if index in set(final_dirty)
     }
-    rimas.sections[rimas.sections.index(region)] = RegionSection(
+    rimas.sections[position] = RegionSection(
         final_pages, force_copy=True, label="precopy-final"
     )
     rimas.no_ious = True
     rimas.meta["precopy"] = True
-    with transfer_span.child("rimas"):
-        metrics.mark("rimas.start")
-        yield from kernel.send(rimas)
-        metrics.mark("rimas.end")
+
+    transfer_span = root.child("transfer")
+    obs.push_phase(transfer_span)
+    try:
+        with transfer_span.child("core"):
+            metrics.mark("core.start")
+            yield engine.timeout(host.calibration.migration_setup_s)
+            yield from kernel.send(core)
+            metrics.mark("core.end")
+        with transfer_span.child("rimas"):
+            metrics.mark("rimas.start")
+            yield from kernel.send(rimas)
+            metrics.mark("rimas.end")
+    except TransportError as error:
+        transfer_span.finish()
+        obs.pop_phase(transfer_span)
+        # Reinsert the whole space, not just the final dirty delta.
+        rimas.sections[position] = region
+        yield from manager._rollback(
+            process_name, dest_manager, error, core, rimas
+        )
     transfer_span.finish()
     obs.pop_phase(transfer_span)
     return rounds

@@ -1,16 +1,19 @@
-"""The two-machine Accent testbed and the single-trial orchestrator.
+"""The Accent testbed and the single-trial orchestrator.
 
 A :class:`Testbed` reproduces one migration experiment end-to-end: it
 builds the workload's pre-migration state on the source host, runs the
-MigrationManager protocol under the chosen transfer strategy, replays
-the workload's reference trace at the destination (verifying every page
-against the contents the source held), and returns a
-:class:`MigrationResult` with every quantity the paper's evaluation
+MigrationManager protocol along a path of hosts — one hop for the
+paper's two-machine trials and the §5 pre-copy baseline, several for
+§6's migration chains — replays the workload's reference trace at the
+destination (verifying every page against the contents the source
+held), and returns a result with every quantity the paper's evaluation
 section reports.
 
 Each trial runs in a fresh simulated world, so trials are independent
 and fully deterministic given the seed.
 """
+
+from collections import namedtuple
 
 from repro.accent.constants import PAGE_SIZE
 from repro.accent.host import Host
@@ -22,7 +25,8 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.timeline import Timeline
 from repro.migration.manager import MigrationAborted, MigrationManager
 from repro.migration.plan import TransferOptions
-from repro.migration.strategy import PURE_IOU, Strategy
+from repro.migration.precopy import default_dirty_rate
+from repro.migration.strategy import Strategy
 from repro.net.link import Link
 from repro.net.netmsgserver import NetMsgServer
 from repro.obs import Instrumentation
@@ -31,6 +35,7 @@ from repro.sim import Engine, SeededStreams
 from repro.workloads.builder import build_process
 from repro.workloads.registry import workload_by_name
 from repro.workloads.runner import RemoteRunResult, remote_body
+from repro.workloads.trace import ReferenceTrace
 
 
 def _family_total(registry, name):
@@ -206,27 +211,24 @@ class TestbedWorld:
         return self.store_directory
 
 
-class MigrationResult:
-    """Everything one trial measured."""
+class TrialResult:
+    """What every trial shape measures: the base of the three result types."""
 
-    def __init__(self, spec, strategy_name, prefetch, world, run_result,
-                 outcome="completed", failure=None, options=None):
-        self.spec = spec
-        self.strategy = strategy_name
-        self.prefetch = prefetch
-        #: The trial's full :class:`TransferOptions` (built from the
-        #: legacy kwargs when the caller didn't pass one).
-        self.options = TransferOptions.coerce(
-            options, strategy=strategy_name, prefetch=prefetch
-        )
-        self.batch = self.options.batch
-        self.pipeline = self.options.pipeline
-        self.run_result = run_result
+    def __init__(self, trial):
+        self.spec = trial.spec
+        #: The trial's full :class:`TransferOptions`.
+        self.options = trial.options
+        self.strategy = trial.options.strategy
+        self.prefetch = trial.options.prefetch
+        self.batch = trial.options.batch
+        self.pipeline = trial.options.pipeline
+        self.run_result = trial.run_result
         #: "completed", "aborted" (rolled back to the source), or
         #: "killed" (a residual dependency broke post-migration).
-        self.outcome = outcome
+        self.outcome = trial.outcome
         #: Human-readable cause when the outcome is not "completed".
-        self.failure = failure
+        self.failure = trial.failure
+        world = trial.world
         #: The world's instrumentation (spans + registry), for export.
         self.obs = world.obs
         #: Fault-lifecycle records (dicts), one per imaginary fault,
@@ -238,20 +240,12 @@ class MigrationResult:
         )
         metrics = world.metrics
         self._marks = dict(metrics.marks)
-        self.link_records = list(metrics.link_records)
         self.faults = dict(metrics.faults)
         self.bytes_total = metrics.total_link_bytes
-        self.bytes_fault_support = metrics.fault_support_bytes
         self.bytes_by_category = dict(metrics.link_bytes_by_category())
         self.message_handling_s = metrics.total_message_handling_s
-        self.messages_total = metrics.total_messages
         self.prefetched_pages = metrics.prefetched_pages
         self.prefetch_hits = metrics.prefetch_hits
-        self.cow_stats = world.source.kernel.stats
-        self.pages_bulk = world.source.nms.pages_shipped_by_op.get(
-            "migrate.rimas", 0
-        )
-        self.pages_demand = world.source.nms.backing.delivered_page_count()
         # Fault/reliability accounting (all zero on a perfect network).
         registry = world.obs.registry
         self.retransmits = _family_total(registry, "transport_retransmits_total")
@@ -266,13 +260,54 @@ class MigrationResult:
         """Phase marks: name -> simulated time (trial clock)."""
         return dict(self._marks)
 
-    # -- phase timings (Tables 4-4/4-5, Figure 4-1) ----------------------------
     def _span(self, start, end):
         try:
             return self._marks[end] - self._marks[start]
         except KeyError:
             return None
 
+    @property
+    def exec_s(self):
+        """Remote execution time (Figure 4-1); a chain's last segment run."""
+        return self._span("exec.start", "exec.end")
+
+    @property
+    def end_to_end_s(self):
+        """Whole trial: migration request to last remote instruction."""
+        return self._span("trial.start", "trial.end")
+
+    @property
+    def prefetch_hit_ratio(self):
+        """Prefetched pages later referenced (None: nothing prefetched)."""
+        if self.prefetched_pages == 0:
+            return None
+        return self.prefetch_hits / self.prefetched_pages
+
+    @property
+    def verified(self):
+        """Page-content verification outcome (None if trace not run)."""
+        if self.run_result is None or self.run_result.steps_executed == 0:
+            return None
+        return self.run_result.verified
+
+
+class MigrationResult(TrialResult):
+    """Everything one two-host trial measured."""
+
+    def __init__(self, trial):
+        super().__init__(trial)
+        world = trial.world
+        metrics = world.metrics
+        self.link_records = list(metrics.link_records)
+        self.bytes_fault_support = metrics.fault_support_bytes
+        self.messages_total = metrics.total_messages
+        self.cow_stats = world.source.kernel.stats
+        self.pages_bulk = world.source.nms.pages_shipped_by_op.get(
+            "migrate.rimas", 0
+        )
+        self.pages_demand = world.source.nms.backing.delivered_page_count()
+
+    # -- phase timings (Tables 4-4/4-5, Figure 4-1) ----------------------------
     @property
     def excise_s(self):
         """ExciseProcess elapsed time (Table 4-4 Overall)."""
@@ -310,21 +345,11 @@ class MigrationResult:
         return self._span("excise.start", "insert.end")
 
     @property
-    def exec_s(self):
-        """Remote execution time (Figure 4-1)."""
-        return self._span("exec.start", "exec.end")
-
-    @property
     def transfer_plus_exec_s(self):
         """Figure 4-2's end-to-end metric."""
         if self.transfer_s is None or self.exec_s is None:
             return None
         return self.transfer_s + self.exec_s
-
-    @property
-    def end_to_end_s(self):
-        """Whole trial: migration request to last remote instruction."""
-        return self._span("trial.start", "trial.end")
 
     # -- data movement (Table 4-3, Figures 4-3/4-5) -----------------------------
     @property
@@ -341,19 +366,6 @@ class MigrationResult:
     def fraction_of_total_transferred(self):
         """Table 4-3's bracketed number."""
         return self.pages_transferred * PAGE_SIZE / self.spec.total_bytes
-
-    @property
-    def prefetch_hit_ratio(self):
-        if self.prefetched_pages == 0:
-            return None
-        return self.prefetch_hits / self.prefetched_pages
-
-    @property
-    def verified(self):
-        """Page-content verification outcome (None if trace not run)."""
-        if self.run_result is None or self.run_result.steps_executed == 0:
-            return None
-        return self.run_result.verified
 
     def timeline(self, bin_seconds=1.0):
         """Figure 4-5 input: binned byte-rate series over the trial."""
@@ -373,6 +385,105 @@ class MigrationResult:
             f"pf={self.prefetch} outcome={self.outcome} "
             f"transfer={transfer} exec={exec_s} bytes={self.bytes_total}>"
         )
+
+
+class PrecopyResult(TrialResult):
+    """Measurements from one iterative pre-copy migration (§5 baseline)."""
+
+    def __init__(self, trial):
+        super().__init__(trial)
+        #: Iterative rounds before the stop: (pages, seconds) each.
+        self.rounds = list(trial.rounds)
+        #: Distinct pages of process memory moved to the new site (the
+        #: destination merges the freshest copy of every page).
+        self.pages_transferred = (
+            trial.world.dest_manager.precopy_pages_merged.get(
+                self.spec.name, 0
+            )
+        )
+
+    @property
+    def downtime_s(self):
+        """Process stopped -> running at the destination (V's metric)."""
+        return self._span("downtime.start", "insert.end")
+
+    @property
+    def precopy_s(self):
+        """Time spent copying while the process still ran."""
+        return self._span("precopy.start", "downtime.start")
+
+    @property
+    def pages_shipped(self):
+        """Total page shipments, counting re-dirtied pages per round."""
+        return sum(r.pages for r in self.rounds)
+
+    def __repr__(self):
+        downtime = (
+            f"{self.downtime_s:.2f}s" if self.downtime_s is not None else "-"
+        )
+        return (
+            f"<PrecopyResult {self.spec.name} rounds={len(self.rounds)} "
+            f"outcome={self.outcome} downtime={downtime} "
+            f"verified={self.verified}>"
+        )
+
+
+class ChainResult(TrialResult):
+    """Measurements from one multi-hop migration."""
+
+    def __init__(self, trial):
+        super().__init__(trial)
+        self.path = trial.path
+        #: Elapsed seconds per hop (excise + core + transfer + insert).
+        self.hop_times_s = list(trial.hop_times)
+        hosts = trial.world.hosts
+        #: Demand pages served per backing host — how the address space
+        #: was physically dispersed along the chain.
+        self.pages_served = {
+            name: host.nms.backing.delivered_page_count()
+            for name, host in hosts.items()
+        }
+        #: Pages a backer still held (never demanded) when its segment
+        #: received Imaginary Segment Death.
+        self.pages_unclaimed = {
+            name: sum(
+                total - delivered
+                for _, _, delivered, total in host.nms.backing.retired
+            )
+            for name, host in hosts.items()
+        }
+
+    def __repr__(self):
+        return (
+            f"<ChainResult {self.spec.name} {'→'.join(self.path)} "
+            f"{self.strategy} hops={len(self.hop_times_s)} "
+            f"outcome={self.outcome} verified={self.verified}>"
+        )
+
+
+#: What one run of the hop loop hands its result class.
+Trial = namedtuple(
+    "Trial",
+    "spec options path world run_result outcome failure hop_times rounds",
+)
+
+
+def _segments(trace, run_fractions):
+    """Split ``trace`` into one slice per chain hop.
+
+    Each intermediate host runs its fraction of the steps and the last
+    host runs the rest; a host with no steps gets None.
+    """
+    steps = trace.steps
+    bounds = [0]
+    for fraction in run_fractions:
+        bounds.append(min(len(steps), bounds[-1] + int(fraction * len(steps))))
+    bounds.append(len(steps))
+    return [
+        ReferenceTrace(steps[start:end], trace.compute_slice_s * (end - start))
+        if end > start else None
+        for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 class Testbed:
@@ -406,234 +517,52 @@ class Testbed:
         world.begin_trial()
         return world
 
-    def run_migration(self, workload, *, mode="direct", strategy=PURE_IOU,
-                      prefetch=0, run_remote=True, options=None,
-                      path=("alpha", "beta", "gamma"), run_fractions=None,
-                      dirty_rate_pps=None, stop_threshold=32, max_rounds=5):
-        """Run one migration trial of any ``mode`` — the single
-        keyword-driven entry point all trial shapes share.
+    def migrate(self, workload, strategy=None, run_remote=True, options=None):
+        """Run one two-host trial; returns a :class:`MigrationResult`.
 
-        ``mode`` selects the trial shape: ``"direct"`` (one two-host
-        migration, a :class:`MigrationResult`), ``"precopy"`` (the §5
-        iterative V-system baseline, a :class:`PrecopyResult`) or
-        ``"chain"`` (multi-hop over ``path``, a :class:`ChainResult`).
-        ``options`` is the unified :class:`TransferOptions` record —
-        including the content-store knobs — and the remaining keywords
-        are per-mode parameters; the classic
-        ``migrate``/``migrate_precopy``/``migrate_chain`` methods are
-        thin wrappers over this.
+        ``options`` is a :class:`TransferOptions` or a dict of its
+        fields; ``strategy``, when given, overrides its strategy.
         """
-        if mode == "direct":
-            return self._run_direct(
-                workload, strategy=strategy, prefetch=prefetch,
-                run_remote=run_remote, options=options,
-            )
-        if mode == "precopy":
-            return self._run_precopy(
-                workload, dirty_rate_pps=dirty_rate_pps,
-                stop_threshold=stop_threshold, max_rounds=max_rounds,
-                run_remote=run_remote, options=options,
-            )
-        if mode == "chain":
-            return self._run_chain(
-                workload, path=path, strategy=strategy, prefetch=prefetch,
-                run_fractions=run_fractions, options=options,
-            )
-        raise ValueError(
-            f"mode must be 'direct', 'precopy' or 'chain', got {mode!r}"
-        )
-
-    def migrate(self, workload, strategy=PURE_IOU, prefetch=0, run_remote=True,
-                options=None):
-        """Run one full two-host trial; returns a
-        :class:`MigrationResult`.  Thin wrapper over
-        :meth:`run_migration` with ``mode="direct"``."""
-        return self.run_migration(
-            workload, mode="direct", strategy=strategy, prefetch=prefetch,
-            run_remote=run_remote, options=options,
-        )
-
-    def _run_direct(self, workload, strategy=PURE_IOU, prefetch=0,
-                    run_remote=True, options=None):
-        options = TransferOptions.coerce(
-            options, strategy=strategy, prefetch=prefetch
-        )
-        spec = workload_by_name(workload)
-        strategy = Strategy.by_name(options.strategy)
-        world = self.world()
-        built = build_process(world.source, spec, world.streams)
-        world.apply_options(options)
-        run_result = RemoteRunResult(spec.name)
-        metrics = world.metrics
-        outcome = {"status": "completed", "failure": None}
-
-        def trial():
-            metrics.mark("trial.start")
-            insertion = world.dest_manager.expect_insertion(spec.name)
-            try:
-                yield from world.source_manager.migrate(
-                    spec.name, world.dest_manager, strategy, options=options
-                )
-            except MigrationAborted as error:
-                # The transfer died; the process was reinserted at the
-                # source, so the trial ends with nothing at the peer.
-                outcome["status"] = "aborted"
-                outcome["failure"] = str(error)
-                metrics.mark("trial.end")
-                return
-            inserted = yield insertion
-            # Post-insertion remote execution: imaginary-fault traffic
-            # lands on this span's byte/fault counters.
-            exec_span = world.obs.tracer.span("exec", process=spec.name)
-            world.obs.push_phase(exec_span)
-            metrics.mark("exec.start")
-            if run_remote:
-                try:
-                    yield from remote_body(
-                        world.dest, inserted, built.trace, run_result
-                    )
-                except ResidualDependencyError as error:
-                    # An owed page's backing host died mid-execution.
-                    outcome["status"] = "killed"
-                    outcome["failure"] = str(error)
-            metrics.mark("exec.end")
-            exec_span.finish()
-            world.obs.pop_phase(exec_span)
-            metrics.mark("trial.end")
-
-        trial_process = world.engine.process(trial(), name=f"trial-{spec.name}")
-        world.engine.run(until=trial_process)
-        # Drain in-flight asynchronous traffic (segment-death messages).
-        world.stop_telemetry()
-        world.engine.run()
         return MigrationResult(
-            spec, strategy.name, options.prefetch, world,
-            run_result if run_remote else None,
-            outcome=outcome["status"], failure=outcome["failure"],
-            options=options,
+            self._trial(workload, strategy, options, run_remote=run_remote)
         )
 
-    def migrate_precopy(
-        self,
-        workload,
-        dirty_rate_pps=None,
-        stop_threshold=32,
-        max_rounds=5,
-        run_remote=True,
-        options=None,
-    ):
-        """Run one iterative pre-copy trial (the §5 V-system baseline).
+    def migrate_precopy(self, workload, dirty_rate_pps=None, stop_threshold=32,
+                        max_rounds=5, run_remote=True, options=None):
+        """Run one iterative pre-copy trial (the §5 V-system baseline);
+        returns a :class:`PrecopyResult`.
 
-        Returns a :class:`PrecopyResult`.  Thin wrapper over
-        :meth:`run_migration` with ``mode="precopy"``.
+        ``dirty_rate_pps`` defaults to the workload's own write
+        intensity.  Pre-copy ships everything physically, so of the
+        ``options`` only those governing residual traffic apply.
         """
-        return self.run_migration(
-            workload, mode="precopy", dirty_rate_pps=dirty_rate_pps,
-            stop_threshold=stop_threshold, max_rounds=max_rounds,
-            run_remote=run_remote, options=options,
-        )
-
-    def _run_precopy(
-        self,
-        workload,
-        dirty_rate_pps=None,
-        stop_threshold=32,
-        max_rounds=5,
-        run_remote=True,
-        options=None,
-    ):
-        # ``dirty_rate_pps`` defaults to the workload's own write
-        # intensity (repro.migration.precopy.default_dirty_rate).
-        # Pre-copy ships everything physically, so of the unified knobs
-        # only those governing residual traffic apply.
-        from repro.migration.precopy import default_dirty_rate
-
-        options = TransferOptions.coerce(options, strategy="pre-copy")
         spec = workload_by_name(workload)
         if dirty_rate_pps is None:
             dirty_rate_pps = default_dirty_rate(spec)
-        world = self.world()
-        built = build_process(world.source, spec, world.streams)
-        world.apply_options(options)
-        run_result = RemoteRunResult(spec.name)
-        metrics = world.metrics
+        return PrecopyResult(self._trial(
+            spec, "pre-copy", options, run_remote=run_remote,
+            precopy={
+                "dirty_rate_pps": dirty_rate_pps,
+                "stop_threshold": stop_threshold,
+                "max_rounds": max_rounds,
+            },
+        ))
 
-        def trial():
-            metrics.mark("trial.start")
-            insertion = world.dest_manager.expect_insertion(spec.name)
-            rounds = yield from world.source_manager.migrate_precopy(
-                spec.name,
-                world.dest_manager,
-                dirty_rate_pps,
-                world.streams,
-                stop_threshold=stop_threshold,
-                max_rounds=max_rounds,
-            )
-            inserted = yield insertion
-            exec_span = world.obs.tracer.span("exec", process=spec.name)
-            world.obs.push_phase(exec_span)
-            metrics.mark("exec.start")
-            if run_remote:
-                yield from remote_body(
-                    world.dest, inserted, built.trace, run_result
-                )
-            metrics.mark("exec.end")
-            exec_span.finish()
-            world.obs.pop_phase(exec_span)
-            metrics.mark("trial.end")
-            return rounds
+    def migrate_chain(self, workload, path=("alpha", "beta", "gamma"),
+                      strategy=None, run_fractions=None, options=None):
+        """Migrate a process along several hosts (§6's dispersed spaces);
+        returns a :class:`ChainResult`.
 
-        trial_process = world.engine.process(trial(), name=f"precopy-{spec.name}")
-        rounds = world.engine.run(until=trial_process)
-        world.stop_telemetry()
-        world.engine.run()
-        return PrecopyResult(
-            spec, world, run_result if run_remote else None, rounds,
-            options=options,
-        )
-
-    def migrate_chain(
-        self,
-        workload,
-        path=("alpha", "beta", "gamma"),
-        strategy=PURE_IOU,
-        prefetch=0,
-        run_fractions=None,
-        options=None,
-    ):
-        """Migrate a process along several hosts (§6's dispersed spaces).
-
-        Returns a :class:`ChainResult`.  Thin wrapper over
-        :meth:`run_migration` with ``mode="chain"``.
+        The process starts at ``path[0]`` and hops host to host.  At
+        each intermediate host it may execute part of its reference
+        trace (``run_fractions``: one fraction per intermediate host;
+        default 0 — all execution happens at the final host).  Under
+        lazy strategies, re-excision produces *inherited IOUs*: after
+        two IOU hops the space is physically dispersed, with faults at
+        the final host routing back to whichever host still holds each
+        page — or, with the content store on, to the *nearest* cached
+        copy, collapsing the residual chain.
         """
-        return self.run_migration(
-            workload, mode="chain", path=path, strategy=strategy,
-            prefetch=prefetch, run_fractions=run_fractions, options=options,
-        )
-
-    def _run_chain(
-        self,
-        workload,
-        path=("alpha", "beta", "gamma"),
-        strategy=PURE_IOU,
-        prefetch=0,
-        run_fractions=None,
-        options=None,
-    ):
-        # The process starts at ``path[0]`` and hops host to host.  At
-        # each intermediate host it may execute part of its reference
-        # trace (``run_fractions``: one fraction per intermediate host;
-        # default 0 — all execution happens at the final host).  Under
-        # lazy strategies, re-excision produces *inherited IOUs*: after
-        # two IOU hops the space is physically dispersed, with faults
-        # at the final host routing back to whichever host still holds
-        # each page — or, with the content store on, to the *nearest*
-        # cached copy, collapsing the residual chain.
-        options = TransferOptions.coerce(
-            options, strategy=strategy, prefetch=prefetch
-        )
-        spec = workload_by_name(workload)
-        strategy = Strategy.by_name(options.strategy)
         if len(path) < 2:
             raise ValueError("a chain needs at least two hosts")
         intermediates = len(path) - 2
@@ -643,207 +572,107 @@ class Testbed:
             raise ValueError(
                 f"need {intermediates} run fractions for {len(path)} hosts"
             )
-        world = self.world(host_names=tuple(path))
+        return ChainResult(self._trial(
+            workload, strategy, options, path=tuple(path),
+            run_fractions=run_fractions,
+        ))
+
+    def _trial(self, workload, strategy, options, path=("alpha", "beta"),
+               run_fractions=None, run_remote=True, precopy=None):
+        """Run one trial along ``path``: the hop loop every entry point
+        shares; returns a :class:`Trial`.
+
+        The process is built at ``path[0]`` and moved hop by hop with
+        :meth:`MigrationManager.migrate` or, given ``precopy`` keyword
+        arguments, :meth:`MigrationManager.migrate_precopy`.  After each
+        insertion, that host's part of the reference trace runs under an
+        ``exec`` span: the whole trace at the peer of a two-host trial,
+        or the :func:`_segments` slice at each host of a chain.  A
+        rolled-back transfer ends the trial "aborted", and a broken
+        residual dependency ends it "killed".
+        """
+        options = TransferOptions.coerce(options)
+        if strategy is not None:
+            options = options.with_strategy(strategy)
+        if precopy is None:
+            strategy = Strategy.by_name(options.strategy)
+            options = options.with_strategy(strategy.name)
+        spec = workload_by_name(workload)
+        world = self.world(host_names=path)
         built = build_process(world.host(path[0]), spec, world.streams)
         world.apply_options(options)
-
-        steps = list(built.trace.steps)
-        boundaries = []
-        cursor = 0
-        for fraction in run_fractions:
-            cursor = min(len(steps), cursor + int(fraction * len(steps)))
-            boundaries.append(cursor)
-        segments = []
-        previous = 0
-        for boundary in boundaries:
-            segments.append(steps[previous:boundary])
-            previous = boundary
-        segments.append(steps[previous:])
-
-        metrics = world.metrics
+        chain = run_fractions is not None
+        if chain:
+            segments = _segments(built.trace, run_fractions)
+        else:
+            segments = [built.trace if run_remote else None]
         run_result = RemoteRunResult(spec.name)
-        hop_transfer_marks = []
+        metrics = world.metrics
+        obs = world.obs
+        hop_times = []
+        rounds = []
+        outcome, failure = "completed", None
 
-        def chain():
-            from repro.workloads.trace import ReferenceTrace
-
+        def trial():
+            nonlocal outcome, failure, rounds
             metrics.mark("trial.start")
-            compute_per_step = built.trace.compute_slice_s
-            for hop, (src_name, dst_name) in enumerate(
-                zip(path, path[1:])
-            ):
-                insertion = world.manager(dst_name).expect_insertion(spec.name)
-                before = world.engine.now
-                yield from world.manager(src_name).migrate(
-                    spec.name, world.manager(dst_name), strategy,
-                    options=options,
-                )
-                inserted = yield insertion
-                hop_transfer_marks.append(world.engine.now - before)
-                segment = segments[hop]
-                if segment:
-                    partial = ReferenceTrace(
-                        segment, compute_per_step * len(segment)
+            try:
+                for hop, (source, dest) in enumerate(zip(path, path[1:])):
+                    last = hop == len(path) - 2
+                    dest_manager = world.manager(dest)
+                    insertion = dest_manager.expect_insertion(spec.name)
+                    before = world.engine.now
+                    mover = world.manager(source)
+                    if precopy is None:
+                        yield from mover.migrate(
+                            spec.name, dest_manager, strategy, options=options
+                        )
+                    else:
+                        rounds = yield from mover.migrate_precopy(
+                            spec.name, dest_manager, streams=world.streams,
+                            **precopy,
+                        )
+                    inserted = yield insertion
+                    hop_times.append(world.engine.now - before)
+                    segment = segments[hop]
+                    if chain and segment is None:
+                        if last:
+                            yield from world.host(dest).kernel.terminate(
+                                spec.name
+                            )
+                        continue
+                    # Imaginary-fault traffic of the remote execution
+                    # lands on this span's byte/fault counters.
+                    exec_span = obs.tracer.span(
+                        "exec", process=spec.name,
+                        **({"host": dest} if chain else {}),
                     )
-                    last_hop = hop == len(path) - 2
-                    exec_span = world.obs.tracer.span(
-                        "exec", process=spec.name, host=dst_name
-                    )
-                    world.obs.push_phase(exec_span)
-                    yield from remote_body(
-                        world.host(dst_name),
-                        inserted,
-                        partial,
-                        run_result,
-                        terminate=last_hop,
-                    )
-                    exec_span.finish()
-                    world.obs.pop_phase(exec_span)
-                elif hop == len(path) - 2:
-                    yield from world.host(dst_name).kernel.terminate(spec.name)
+                    obs.push_phase(exec_span)
+                    metrics.mark("exec.start")
+                    try:
+                        if segment is not None:
+                            yield from remote_body(
+                                world.host(dest), inserted, segment,
+                                run_result, terminate=last,
+                            )
+                    finally:
+                        metrics.mark("exec.end")
+                        exec_span.finish()
+                        obs.pop_phase(exec_span)
+            except MigrationAborted as error:
+                # The process was reinserted at the hop's source.
+                outcome, failure = "aborted", str(error)
+            except ResidualDependencyError as error:
+                # An owed page's backing host died mid-execution.
+                outcome, failure = "killed", str(error)
             metrics.mark("trial.end")
 
-        chain_process = world.engine.process(chain(), name=f"chain-{spec.name}")
-        world.engine.run(until=chain_process)
+        process = world.engine.process(trial(), name=f"trial-{spec.name}")
+        world.engine.run(until=process)
+        # Drain in-flight asynchronous traffic (segment-death messages).
         world.stop_telemetry()
         world.engine.run()
-        return ChainResult(
-            spec, strategy.name, options.prefetch, tuple(path), world,
-            run_result, hop_transfer_marks, options=options,
-        )
-
-
-class PrecopyResult:
-    """Measurements from one iterative pre-copy migration (§5 baseline).
-
-    Exposes the same data-movement surface as
-    :class:`MigrationResult` (``pages_transferred``,
-    ``prefetch_hit_ratio``, ``fault_records``) so ``repro analyze`` and
-    the EXPERIMENTS tables need no per-result special-casing.
-    """
-
-    def __init__(self, spec, world, run_result, rounds, options=None):
-        self.spec = spec
-        self.strategy = "pre-copy"
-        self.options = TransferOptions.coerce(options, strategy="pre-copy")
-        self.prefetch = self.options.prefetch
-        self.batch = self.options.batch
-        self.pipeline = self.options.pipeline
-        self.obs = world.obs
-        self.run_result = run_result
-        #: Iterative rounds before the stop: (pages, seconds) each.
-        self.rounds = list(rounds)
-        #: Fault-lifecycle records, [] unless the world ran instrumented
-        #: (pre-copy leaves no IOUs, so normally stays empty).
-        self.fault_records = (
-            world.obs.lifecycle.snapshot()
-            if world.obs.lifecycle is not None
-            else []
-        )
-        metrics = world.metrics
-        self._marks = dict(metrics.marks)
-        self.bytes_total = metrics.total_link_bytes
-        self.message_handling_s = metrics.total_message_handling_s
-        self.faults = dict(metrics.faults)
-        self.prefetched_pages = metrics.prefetched_pages
-        self.prefetch_hits = metrics.prefetch_hits
-        #: Distinct pages of process memory moved to the new site (the
-        #: destination merges the freshest copy of every page).
-        self.pages_transferred = world.dest_manager.precopy_pages_merged.get(
-            spec.name, 0
-        )
-
-    @property
-    def downtime_s(self):
-        """Process stopped -> running at the destination (V's metric)."""
-        return self._marks["insert.end"] - self._marks["downtime.start"]
-
-    @property
-    def precopy_s(self):
-        """Time spent copying while the process still ran."""
-        return self._marks["downtime.start"] - self._marks["precopy.start"]
-
-    @property
-    def exec_s(self):
-        return self._marks["exec.end"] - self._marks["exec.start"]
-
-    @property
-    def end_to_end_s(self):
-        return self._marks["trial.end"] - self._marks["trial.start"]
-
-    @property
-    def pages_shipped(self):
-        """Total page shipments, counting re-dirtied pages per round."""
-        return sum(r.pages for r in self.rounds)
-
-    @property
-    def prefetch_hit_ratio(self):
-        """Prefetch hit ratio (None: pre-copy leaves nothing to fetch)."""
-        if self.prefetched_pages == 0:
-            return None
-        return self.prefetch_hits / self.prefetched_pages
-
-    @property
-    def verified(self):
-        if self.run_result is None or self.run_result.steps_executed == 0:
-            return None
-        return self.run_result.verified
-
-    def __repr__(self):
-        return (
-            f"<PrecopyResult {self.spec.name} rounds={len(self.rounds)} "
-            f"downtime={self.downtime_s:.2f}s verified={self.verified}>"
-        )
-
-
-class ChainResult:
-    """Measurements from one multi-hop migration."""
-
-    def __init__(self, spec, strategy, prefetch, path, world, run_result,
-                 hop_times, options=None):
-        self.spec = spec
-        self.strategy = strategy
-        self.prefetch = prefetch
-        self.options = TransferOptions.coerce(
-            options, strategy=strategy, prefetch=prefetch
-        )
-        self.batch = self.options.batch
-        self.pipeline = self.options.pipeline
-        self.path = path
-        self.obs = world.obs
-        self.run_result = run_result
-        #: Elapsed seconds per hop (excise + core + transfer + insert).
-        self.hop_times_s = list(hop_times)
-        metrics = world.metrics
-        self.bytes_total = metrics.total_link_bytes
-        self.bytes_by_category = dict(metrics.link_bytes_by_category())
-        self.faults = dict(metrics.faults)
-        self.end_to_end_s = metrics.span("trial.start", "trial.end")
-        #: Demand pages served per backing host — how the address space
-        #: was physically dispersed along the chain.
-        self.pages_served = {
-            name: host.nms.backing.delivered_page_count()
-            for name, host in world.hosts.items()
-        }
-        #: Pages a backer still held (never demanded) when its segment
-        #: received Imaginary Segment Death.
-        self.pages_unclaimed = {
-            name: sum(
-                total - delivered
-                for _, _, delivered, total in host.nms.backing.retired
-            )
-            for name, host in world.hosts.items()
-        }
-
-    @property
-    def verified(self):
-        if self.run_result.steps_executed == 0:
-            return None
-        return self.run_result.verified
-
-    def __repr__(self):
-        return (
-            f"<ChainResult {self.spec.name} {'→'.join(self.path)} "
-            f"{self.strategy} hops={len(self.hop_times_s)} "
-            f"verified={self.verified}>"
+        return Trial(
+            spec, options, path, world, run_result if run_remote else None,
+            outcome, failure, hop_times, rounds,
         )

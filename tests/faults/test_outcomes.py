@@ -4,10 +4,13 @@ Each trial is fully deterministic given the seed, so these assert on
 exact outcomes rather than statistical tendencies.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.accent.process import ProcessStatus
 from repro.migration.manager import MigrationAborted
+from repro.migration.precopy import default_dirty_rate
 from repro.sim import SeededStreams
 from repro.testbed import Testbed
 from repro.workloads.builder import build_process
@@ -53,24 +56,79 @@ def test_dest_crash_mid_transfer_rolls_back_to_source(make_world, make_plan):
     ).value(host="alpha") == 1
 
 
-def test_dest_crash_outcome_via_testbed(make_plan):
+@pytest.mark.parametrize(
+    "at", [1.0, 17.0], ids=["during-rounds", "after-excise"]
+)
+def test_precopy_dest_crash_rolls_back_to_source(make_world, make_plan, at):
+    plan = make_plan({"crashes": [{"host": "beta", "at": at}]})
+    world = make_world(plan)
+    spec = WORKLOADS["minprog"]
+    build_process(world.source, spec, world.streams)
+
+    def trial():
+        world.dest_manager.expect_insertion("minprog")
+        try:
+            yield from world.source_manager.migrate_precopy(
+                "minprog", world.dest_manager, default_dirty_rate(spec),
+                world.streams,
+            )
+        except MigrationAborted:
+            return "aborted"
+        return "completed"
+
+    proc = world.engine.process(trial())
+    status = world.engine.run(until=proc)
+    world.engine.run()
+    assert status == "aborted"
+    assert ("rollback.start" in world.metrics.marks) == (at > 1.0)
+    # The whole space is back at the source, not just the final delta.
+    survivor = world.source.kernel.processes["minprog"]
+    assert survivor.status is ProcessStatus.RUNNABLE
+    assert len(survivor.space.real_page_indices()) == spec.real_pages
+    assert "minprog" not in world.dest.kernel.processes
+    assert "minprog" not in world.dest_manager._precopy_stash
+
+
+# A chain runs the default alpha -> beta -> gamma path, so a beta crash
+# hits its first hop; the other trials default to pure-iou.
+@pytest.mark.parametrize("trial", [
+    pytest.param(Testbed.migrate, id="migrate"),
+    pytest.param(
+        partial(Testbed.migrate, options={"pipeline": 2}), id="pipelined"
+    ),
+    pytest.param(Testbed.migrate_chain, id="chain"),
+    pytest.param(Testbed.migrate_precopy, id="precopy"),
+])
+def test_dest_crash_outcome_via_testbed(make_plan, trial):
     plan = make_plan({"crashes": [{"host": "beta", "at": 1.0}]})
-    result = Testbed(seed=7, faults=plan).migrate("minprog", strategy="pure-iou")
+    result = trial(Testbed(seed=7, faults=plan, instrument=True), "minprog")
     assert result.outcome == "aborted"
     assert result.aborts == 1
     assert result.failure is not None
+    (root,) = result.obs.tracer.find("migrate")
+    assert root.counters == {"aborted": 1}
 
 
-@pytest.mark.parametrize("store", [False, True], ids=["store-off", "store-on"])
-@pytest.mark.parametrize(
-    "shape", [{}, {"batch": 8, "pipeline": 4}], ids=["serial", "batched"]
-)
+@pytest.mark.parametrize("trial, shape, store", [
+    pytest.param(
+        trial, shape, store,
+        id=f"{prefix}{shape_id}-store-{'on' if store else 'off'}",
+    )
+    for prefix, trial in (
+        ("", Testbed.migrate), ("chain-", Testbed.migrate_chain)
+    )
+    for shape_id, shape in (
+        ("serial", {}), ("batched", {"batch": 8, "pipeline": 4})
+    )
+    for store in (False, True)
+])
 def test_source_crash_before_flush_kills_dependent_process(
-    make_plan, shape, store
+    make_plan, trial, shape, store
 ):
     plan = make_plan({"crashes": [{"host": "alpha", "at": 30.0}]})
-    result = Testbed(seed=7, faults=plan).migrate(
-        "chess", strategy="pure-iou", options={**shape, "store": store}
+    result = trial(
+        Testbed(seed=7, faults=plan), "chess", strategy="pure-iou",
+        options={**shape, "store": store},
     )
     assert result.outcome == "killed"
     assert result.residual_kills == 1

@@ -14,6 +14,8 @@ Three properties anchor the redesign:
   pure-IOU).
 """
 
+import pytest
+
 from repro.migration.plan import TransferOptions
 from repro.obs import jsonl_lines
 from repro.testbed import Testbed
@@ -80,7 +82,7 @@ GOLDEN = {
 def test_default_knobs_reproduce_golden_timings():
     for (workload, strategy, prefetch), expected in GOLDEN.items():
         result = Testbed(seed=1987).migrate(
-            workload, strategy=strategy, prefetch=prefetch
+            workload, strategy=strategy, options={"prefetch": prefetch}
         )
         observed = (
             result.transfer_s,
@@ -94,9 +96,9 @@ def test_default_knobs_reproduce_golden_timings():
 
 
 def test_explicit_default_options_match_kwargs_path():
-    """options=TransferOptions(...) and the legacy kwargs are one path."""
+    """options= as a keyword dict and as a TransferOptions are one path."""
     kwargs = Testbed(seed=1987).migrate(
-        "chess", strategy="pure-iou", prefetch=1
+        "chess", strategy="pure-iou", options={"prefetch": 1}
     )
     explicit = Testbed(seed=1987).migrate(
         "chess",
@@ -104,6 +106,20 @@ def test_explicit_default_options_match_kwargs_path():
     )
     assert _signature(kwargs) == _signature(explicit)
     assert explicit.options.batch == 1 and explicit.options.pipeline == 1
+
+
+@pytest.mark.parametrize(
+    "trial", [Testbed.migrate, Testbed.migrate_chain], ids=["migrate", "chain"]
+)
+def test_strategy_argument_wins_over_options(trial):
+    result = trial(
+        Testbed(seed=1987), "minprog", strategy="pure-copy",
+        options=TransferOptions(batch=8),
+    )
+    assert result.strategy == "pure-copy"
+    assert result.batch == 8
+    # Pure-copy ships every page up front: nothing is demand-paged.
+    assert result.faults.get("imaginary", 0) == 0
 
 
 def test_batched_trial_replays_byte_identically():

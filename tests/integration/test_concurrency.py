@@ -140,7 +140,7 @@ def test_migrate_replays_byte_identically():
 
     def trial():
         result = Testbed(seed=91, instrument=True).migrate(
-            "chess", strategy="pure-iou", prefetch=1
+            "chess", strategy="pure-iou", options={"prefetch": 1}
         )
         return _migration_signature(result), _trace_blob("migrate", result.obs)
 

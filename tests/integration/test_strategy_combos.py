@@ -22,7 +22,8 @@ def test_chain_under_working_set(bed):
 
 def test_chain_under_resident_set_with_prefetch(bed):
     result = bed.migrate_chain(
-        "chess", strategy="resident-set", prefetch=3, run_fractions=(0.5,)
+        "chess", strategy="resident-set", run_fractions=(0.5,),
+        options={"prefetch": 3},
     )
     assert result.verified
     assert result.faults.get("imaginary", 0) > 0
@@ -46,7 +47,9 @@ def test_synthetic_through_precopy(bed):
 
 
 def test_working_set_with_prefetch(bed):
-    result = bed.migrate("pm-start", strategy=WORKING_SET, prefetch=7)
+    result = bed.migrate(
+        "pm-start", strategy=WORKING_SET, options={"prefetch": 7}
+    )
     assert result.verified
     # The lazy remainder faults with prefetch; hits get recorded.
     assert result.prefetch_hit_ratio is not None

@@ -40,26 +40,6 @@ def test_options_batched_property():
     assert not TransferOptions(prefetch=7).batched
 
 
-def test_coerce_none_uses_defaults():
-    options = TransferOptions.coerce(None, strategy="pure-copy", prefetch=3)
-    assert options.strategy == "pure-copy"
-    assert options.prefetch == 3
-
-
-def test_coerce_instance_wins_over_defaults():
-    given = TransferOptions(strategy="adaptive", batch=8)
-    assert TransferOptions.coerce(given, strategy="pure-copy") is given
-
-
-def test_coerce_dict_merges_into_defaults():
-    options = TransferOptions.coerce(
-        {"batch": 4}, strategy="pure-copy", prefetch=1
-    )
-    assert options.strategy == "pure-copy"
-    assert options.prefetch == 1
-    assert options.batch == 4
-
-
 def test_coerce_rejects_other_types():
     with pytest.raises(TypeError, match="options must be"):
         TransferOptions.coerce(["batch", 4])

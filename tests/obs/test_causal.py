@@ -71,7 +71,7 @@ def test_children_inherit_the_trace_id_unless_overridden():
 @pytest.fixture(scope="module")
 def result():
     return Testbed(seed=1987, instrument=True).migrate(
-        "minprog", strategy="pure-iou", prefetch=0
+        "minprog", strategy="pure-iou"
     )
 
 

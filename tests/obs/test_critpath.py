@@ -118,7 +118,7 @@ def test_overlapping_children_are_clipped_in_start_order():
 @pytest.fixture(scope="module")
 def result():
     return Testbed(seed=1987, instrument=True).migrate(
-        "minprog", strategy="pure-iou", prefetch=0
+        "minprog", strategy="pure-iou"
     )
 
 

@@ -99,7 +99,7 @@ def test_aggregate_of_nothing_is_empty():
 @pytest.fixture(scope="module")
 def result():
     return Testbed(seed=1987, instrument=True).migrate(
-        "minprog", strategy="pure-iou", prefetch=3
+        "minprog", strategy="pure-iou", options={"prefetch": 3}
     )
 
 

@@ -17,7 +17,7 @@ from repro.testbed import Testbed
 @pytest.fixture(scope="module")
 def result():
     return Testbed(seed=1987, instrument=True).migrate(
-        "minprog", strategy="pure-iou", prefetch=0
+        "minprog", strategy="pure-iou"
     )
 
 

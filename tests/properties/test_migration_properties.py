@@ -56,7 +56,7 @@ def tiny_spec(draw):
 @settings(max_examples=40, deadline=None)
 def test_random_workloads_migrate_and_verify(spec, strategy, prefetch, seed):
     result = Testbed(seed=seed).migrate(
-        spec, strategy=strategy, prefetch=prefetch
+        spec, strategy=strategy, options={"prefetch": prefetch}
     )
     assert result.verified, result.run_result.mismatches
     # Phase ordering always holds.

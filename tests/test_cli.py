@@ -68,6 +68,26 @@ def test_precopy_command():
     assert "verified          True" in text
 
 
+@pytest.mark.parametrize("command, crash, outcome", [
+    (["chain", "minprog"], {"host": "beta", "at": 1.0}, "aborted"),
+    (["chain", "chess"], {"host": "alpha", "at": 30.0}, "killed"),
+    (["precopy", "minprog"], {"host": "beta", "at": 1.0}, "aborted"),
+])
+def test_faulted_trial_reports_outcome(tmp_path, command, crash, outcome):
+    import json
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"crashes": [crash]}), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, text = run_cli(
+        [*command, "--seed", "7", "--faults", str(plan), "--json", str(report)]
+    )
+    assert code == 1
+    assert f"outcome           {outcome}" in text
+    assert "fragments dropped" in text
+    assert json.loads(report.read_text(encoding="utf-8"))["outcome"] == outcome
+
+
 def test_balance_command():
     code, text = run_cli(
         ["balance", "minprog", "minprog", "pm-end", "--hosts", "2",

@@ -91,7 +91,7 @@ def test_analytic_hit_ratio_matches_simulation(workload, prefetch):
     )
 
     measured = bed.migrate(
-        workload, strategy="pure-iou", prefetch=prefetch
+        workload, strategy="pure-iou", options={"prefetch": prefetch}
     ).prefetch_hit_ratio
     assert measured == pytest.approx(analytic, abs=0.03)
 

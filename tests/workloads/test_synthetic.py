@@ -56,7 +56,7 @@ def test_synthetic_specs_migrate_and_verify():
     )
     bed = Testbed(seed=12)
     for strategy in (PURE_COPY, PURE_IOU, "resident-set", "working-set"):
-        result = bed.migrate(spec, strategy=strategy, prefetch=1)
+        result = bed.migrate(spec, strategy=strategy, options={"prefetch": 1})
         assert result.verified, strategy
 
 
