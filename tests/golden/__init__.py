@@ -3,7 +3,7 @@
 Each scenario here runs a small instrumented world — one per simulation
 family (migrate / stress / batched transfer / serving / fault
 injection / content store, serial and batched / migration chain /
-pre-copy) — and serialises its full observability export to canonical
+pre-copy / load balancer) — and serialises its full observability export to canonical
 JSONL.  The committed ``.jsonl.gz`` files pin those bytes; the test in
 ``test_golden_corpus.py`` re-runs every scenario and byte-compares, so
 a queue or dispatch change that silently reorders *anything* the
@@ -116,6 +116,15 @@ def _precopy():
     return Testbed(seed=1987, instrument=True).migrate_precopy("minprog")
 
 
+def _balance():
+    from repro.loadbalance import BreakevenPolicy, Scenario
+
+    return Scenario(
+        ["chess", "pm-mid", "pm-mid", "chess"], hosts=3, seed=42,
+        instrument=True,
+    ).run(BreakevenPolicy(), inflight_cap=2)
+
+
 #: scenario name -> zero-argument runner returning a result with ``.obs``.
 SCENARIOS = {
     "migrate": _migrate,
@@ -127,6 +136,7 @@ SCENARIOS = {
     "store-batched": _store_batched,
     "chain": _chain,
     "precopy": _precopy,
+    "balance": _balance,
 }
 
 
