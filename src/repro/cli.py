@@ -928,15 +928,16 @@ def cmd_balance(args, out):
         f"{len(result.migrations)} migrations, verified {result.verified}")
     for decision in result.migrations:
         out(f"  {decision}")
-    if result.scheduler is not None:
-        scheduler = result.scheduler
-        counts = ", ".join(
-            f"{outcome}={count}"
-            for outcome, count in sorted(scheduler.outcome_counts().items())
-        )
-        out(f"scheduler: cap {scheduler.inflight_cap}/host, "
-            f"peak in-flight {scheduler.peak_inflight}, "
-            f"peak queue {scheduler.peak_queue}  [{counts}]")
+    scheduler = result.scheduler
+    counts = ", ".join(
+        f"{outcome}={count}"
+        for outcome, count in sorted(scheduler.outcome_counts().items())
+    )
+    out(f"scheduler: cap {scheduler.inflight_cap}/host, "
+        f"peak in-flight {scheduler.peak_inflight}, "
+        f"peak queue {scheduler.peak_queue}  [{counts}]")
+    if result.killed:
+        out(f"killed: {', '.join(result.killed)}")
     meta = _report_run_meta(out, [result.obs])
     if args.json:
         payload = {
@@ -945,14 +946,15 @@ def cmd_balance(args, out):
             "makespan_s": result.makespan_s,
             "migrations": [str(decision) for decision in result.migrations],
             "verified": result.verified,
+            "scheduler": {
+                "inflight_cap": scheduler.inflight_cap,
+                "peak_inflight": scheduler.peak_inflight,
+                "peak_queue": scheduler.peak_queue,
+                "outcomes": dict(scheduler.outcome_counts()),
+            },
         }
-        if result.scheduler is not None:
-            payload["scheduler"] = {
-                "inflight_cap": result.scheduler.inflight_cap,
-                "peak_inflight": result.scheduler.peak_inflight,
-                "peak_queue": result.scheduler.peak_queue,
-                "outcomes": dict(result.scheduler.outcome_counts()),
-            }
+        if result.killed:
+            payload["killed"] = result.killed
         if meta is not None:
             payload["host"] = meta
         if _write_json(args.json, payload, out):
@@ -1021,6 +1023,8 @@ def cmd_stress(args, out):
         f"host peak {result.peak_host_inflight}), "
         f"queue peak {result.peak_queue}")
     out(f"bytes on wire     {result.bytes_total:,}")
+    if result.killed:
+        out(f"killed            {', '.join(result.killed)}")
     meta = _report_run_meta(
         out, [result.obs], fallback_events=result.events_dispatched
     )
@@ -1125,6 +1129,8 @@ def cmd_serve(args, out):
     out(f"migrations        {migrations}  "
         f"(makespan {result.makespan_s:.1f}s)")
     out(f"bytes on wire     {result.bytes_total:,}")
+    if result.killed:
+        out(f"killed            {', '.join(result.killed)}")
     meta = _report_run_meta(
         out, [result.obs], fallback_events=result.events_dispatched
     )

@@ -7,6 +7,12 @@ choice (arrival gaps, which job to move, where to) draws from named
 :class:`~repro.sim.SeededStreams`, so one seed fixes the entire run:
 two runs with the same :class:`StressConfig` produce byte-identical
 traces and the same :attr:`StressResult.determinism_hash`.
+
+The serving harness (:mod:`repro.serve.harness`) reuses the world
+set-up (:func:`cluster_world`), the arrival loop
+(:func:`migration_arrivals`) and the result base
+(:class:`ClusterResult`); the load balancer's
+:class:`~repro.loadbalance.Scenario` reuses the set-up.
 """
 
 import hashlib
@@ -14,8 +20,9 @@ import json
 
 from repro.cluster.scheduler import ClusterScheduler
 from repro.loadbalance.job import ManagedJob
-from repro.obs.slo import parse_slos
 from repro.migration.plan import TransferOptions
+from repro.obs.registry import nearest_rank
+from repro.obs.slo import parse_slos
 from repro.testbed import Testbed
 from repro.workloads.builder import build_process
 from repro.workloads.registry import workload_by_name
@@ -188,8 +195,31 @@ class StressConfig:
         return data
 
 
-class StressResult:
-    """Everything one stress run measured, canonically serialisable."""
+def cluster_world(config, calibration=None, instrument=False, faults=None):
+    """A fresh world for one cluster-harness run of ``config``.
+
+    ``config`` (a :class:`StressConfig` or a
+    :class:`~repro.loadbalance.Scenario`) supplies the seed, host
+    names, telemetry cadence and SLOs, plus the
+    :class:`TransferOptions` installed on every host (None keeps each
+    host's defaults).
+    """
+    world = Testbed(
+        seed=config.seed, calibration=calibration,
+        instrument=instrument, faults=faults,
+        sample_period=config.sample_period, slos=config.slo_objectives,
+    ).world(host_names=config.host_names)
+    if config.transfer_options is not None:
+        world.apply_options(config.transfer_options)
+    return world
+
+
+class ClusterResult:
+    """What every scheduler-driven harness run measures.
+
+    Subclasses add their own views and define :meth:`to_dict`, the
+    canonical plain-data form the determinism hash is taken over.
+    """
 
     def __init__(self, config, world, scheduler, jobs, makespan_s):
         self.config = config
@@ -199,15 +229,30 @@ class StressResult:
         self.tickets = list(scheduler.tickets)
         self.makespan_s = makespan_s
         self.outcomes = scheduler.outcome_counts()
+        metrics = world.metrics
+        self.bytes_total = metrics.total_link_bytes
+        self.faults = dict(metrics.faults)
+        self.events_dispatched = world.engine.dispatched
+        #: Names of the jobs a broken residual dependency killed.
+        self.killed = [job.name for job in self.jobs if job.failed]
+
+    @property
+    def determinism_hash(self):
+        """SHA-256 over the canonical result — equal across replays."""
+        payload = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class StressResult(ClusterResult):
+    """Everything one stress run measured, canonically serialisable."""
+
+    def __init__(self, config, world, scheduler, jobs, makespan_s):
+        super().__init__(config, world, scheduler, jobs, makespan_s)
         self.peak_inflight = scheduler.peak_inflight
         self.sustained_inflight = scheduler.sustained_inflight()
         self.peak_queue = scheduler.peak_queue
         self.peak_host_inflight = scheduler.peak_host_inflight
         self.samples = list(scheduler.samples)
-        metrics = world.metrics
-        self.bytes_total = metrics.total_link_bytes
-        self.faults = dict(metrics.faults)
-        self.events_dispatched = world.engine.dispatched
         self.verified = all(
             job.result.verified
             for job in self.jobs
@@ -228,17 +273,18 @@ class StressResult:
     def freeze_percentile(self, q):
         """The q-quantile of completed-migration freeze times (exact,
         nearest-rank over per-ticket values), or None."""
-        freezes = sorted(
-            t.freeze_s for t in self.tickets if t.freeze_s is not None
+        return nearest_rank(
+            sorted(t.freeze_s for t in self.tickets if t.freeze_s is not None),
+            q,
         )
-        if not freezes:
-            return None
-        rank = min(len(freezes) - 1, max(0, int(q * len(freezes))))
-        return freezes[rank]
 
     def to_dict(self):
-        """Canonical plain-data view — the determinism-hash input."""
-        return {
+        """Canonical plain-data view — the determinism-hash input.
+
+        ``killed`` appears only when a job was killed, so hashes of
+        runs without one stay valid.
+        """
+        data = {
             "config": self.config.to_dict(),
             "makespan_s": self.makespan_s,
             "outcomes": dict(sorted(self.outcomes.items())),
@@ -277,12 +323,9 @@ class StressResult:
                 for job in self.jobs
             },
         }
-
-    @property
-    def determinism_hash(self):
-        """SHA-256 over the canonical result — equal across replays."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        if self.killed:
+            data["killed"] = self.killed
+        return data
 
     def __repr__(self):
         return (
@@ -311,21 +354,43 @@ def interarrival(arrival, rate_per_s, burst_size, rng, index):
     return mean_gap * burst_size
 
 
-def _interarrival(config, rng, index):
-    return interarrival(
-        config.arrival, config.rate_per_s, config.burst_size, rng, index
-    )
+def migration_arrivals(config, world, scheduler, jobs, prefix, eligible=None):
+    """Engine-process body: submit ``config.migrations`` seeded moves.
+
+    Gaps follow ``config.arrival``.  Each move picks a job (among those
+    ``eligible`` accepts, or any when it accepts none or is None) and a
+    destination other than the job's host.  Gaps and picks draw from
+    the ``{prefix}arrivals`` and ``{prefix}picks`` streams.  Every
+    admitted move gets a follower that settles its job.
+    """
+    engine = world.engine
+    gaps = world.streams.stream(f"{prefix}arrivals")
+    picks = world.streams.stream(f"{prefix}picks")
+    names = config.host_names
+    for index in range(config.migrations):
+        gap = interarrival(
+            config.arrival, config.rate_per_s, config.burst_size, gaps, index
+        )
+        if gap > 0:
+            yield engine.timeout(gap)
+        candidates = jobs
+        if eligible is not None:
+            candidates = [job for job in jobs if eligible(job)] or jobs
+        job = candidates[picks.randrange(len(candidates))]
+        here = job.current_host.name
+        others = [name for name in names if name != here]
+        dest = others[picks.randrange(len(others))]
+        ticket = scheduler.submit(
+            job.name, dest, source=here,
+            strategy=config.strategy, prepare=job.prepare_move,
+        )
+        if ticket.outcome is None:
+            engine.process(job.follow(ticket), name=f"follow-{job.name}")
 
 
 def run_stress(config, calibration=None, instrument=False, faults=None):
     """Execute one stress run; returns a :class:`StressResult`."""
-    bed = Testbed(
-        seed=config.seed, calibration=calibration,
-        instrument=instrument, faults=faults,
-        sample_period=config.sample_period, slos=config.slo_objectives,
-    )
-    world = bed.world(host_names=config.host_names)
-    world.apply_options(config.transfer_options)
+    world = cluster_world(config, calibration, instrument, faults)
     engine = world.engine
 
     jobs = []
@@ -347,48 +412,8 @@ def run_stress(config, calibration=None, instrument=False, faults=None):
         inflight_cap=config.inflight_cap,
         queue_limit=config.queue_limit,
     )
-    jobs_by_name = {job.name: job for job in jobs}
-
-    def follow(ticket):
-        """Re-start the job once its move reaches a terminal state."""
-        yield ticket.done
-        job = jobs_by_name[ticket.process_name]
-        if ticket.outcome == "completed":
-            job.resume_as(ticket.inserted, world.host(ticket.dest))
-        elif ticket.outcome == "aborted" and not job.finished:
-            # Rolled back: the kernel reinserted the process at the
-            # source; pick the reincarnation up and keep running there.
-            process = world.host(ticket.source).kernel.processes.get(
-                ticket.process_name
-            )
-            if process is not None:
-                job.process = process
-                job.start(world.host(ticket.source))
-
-    def arrivals():
-        gaps = world.streams.stream("stress.arrivals")
-        picks = world.streams.stream("stress.picks")
-        names = config.host_names
-        for index in range(config.migrations):
-            gap = _interarrival(config, gaps, index)
-            if gap > 0:
-                yield engine.timeout(gap)
-            job = jobs[picks.randrange(len(jobs))]
-            here = job.current_host.name
-            others = [name for name in names if name != here]
-            dest = others[picks.randrange(len(others))]
-            ticket = scheduler.submit(
-                job.name, dest, source=here,
-                strategy=config.strategy, prepare=job.request_pause,
-            )
-            if ticket.outcome is None:
-                engine.process(follow(ticket), name=f"follow-{job.name}")
-
-    driver = engine.process(arrivals(), name="stress-arrivals")
-    engine.run(until=driver)
+    arrivals = migration_arrivals(config, world, scheduler, jobs, "stress.")
+    engine.run(until=engine.process(arrivals, name="stress-arrivals"))
     engine.run(until=scheduler.drain())
     engine.run(until=engine.all_of([job.done for job in jobs]))
-    makespan = engine.now
-    world.stop_telemetry()
-    engine.run()  # drain asynchronous residue (segment deaths etc.)
-    return StressResult(config, world, scheduler, jobs, makespan)
+    return StressResult(config, world, scheduler, jobs, world.finish())

@@ -1,46 +1,160 @@
 """Managed, migratable jobs.
 
-A :class:`ManagedJob` owns a workload's execution lifecycle across
-migrations: it runs the reference trace step by step, pauses
-cooperatively when the balancer asks (so no fault protocol is ever
-abandoned mid-flight), and resumes from the same trace position in the
-re-incarnated process at the new host — verifying page contents the
-whole way.
+:class:`MigratableJob` is what every cluster harness needs of a job
+that moves under a :class:`~repro.cluster.scheduler.ClusterScheduler`:
+a cooperative pause for the scheduler's ``prepare`` hook, and one
+:meth:`~MigratableJob.settle` that picks the job up once its move
+reaches a terminal state.  A :class:`ManagedJob` runs a workload's
+reference trace step by step, pauses at step boundaries (so no fault
+protocol is ever abandoned mid-flight), and resumes from the same trace
+position in the re-incarnated process at the new host — verifying page
+contents the whole way.  Its serving sibling is
+:class:`~repro.serve.server.ServingJob`.
 """
 
 from repro.accent.constants import PAGE_SIZE
+from repro.faults import ResidualDependencyError
 from repro.workloads.content import WRITE_MARKER, page_head
 from repro.workloads.runner import RemoteRunResult
 
 
-class ManagedJob:
-    """One workload instance under balancer control."""
+class MigratableJob:
+    """A job body that pauses, moves and resumes as one logical job.
+
+    Subclasses supply the ``_run(host)`` generator, which checks
+    ``_pause_requested`` at its own boundaries and ends through
+    :meth:`_end`.
+    """
 
     def __init__(self, world, built, name=None):
         self.world = world
         self.built = built
         self.spec = built.spec
         self.name = name or built.process.name
+        self.process = built.process
+        self.current_host = None
+        self.migrations = 0
+        #: True while a move is queued or in flight (keeps a policy or
+        #: the serving harness from re-picking a job already moving).
+        self.migrating = False
+        #: True once the job ran to completion.
+        self.finished = False
+        #: True once a ResidualDependencyError killed the process.
+        self.failed = False
+        self.failure = None
+        self._pause_requested = False
+        self._paused_event = None
+        #: Fires when the job ends for good (finished or killed).
+        self.done = world.engine.event()
+
+    @property
+    def ended(self):
+        """True once the job finished or was killed: it never runs again."""
+        return self.finished or self.failed
+
+    # -- lifecycle ------------------------------------------------------------
+    def start(self, host):
+        """Begin (or resume) execution on ``host``."""
+        if self.ended:
+            raise RuntimeError(f"{self.name} is no longer runnable")
+        self.current_host = host
+        self._pause_requested = False
+        return self.world.engine.process(
+            self._run(host), name=f"job-{self.name}"
+        )
+
+    def request_pause(self):
+        """Ask the job to stop at its next boundary.
+
+        Returns an event that fires once the job is quiescent (safe to
+        excise).  An ended job is quiescent forever, so the event fires
+        at once — check :attr:`ended` afterwards.
+        """
+        if self._paused_event is None or self._paused_event.processed:
+            self._paused_event = self.world.engine.event()
+        self._pause_requested = True
+        if self.ended and not self._paused_event.triggered:
+            self._paused_event.succeed(self)
+        self._notify()
+        return self._paused_event
+
+    def prepare_move(self):
+        """The scheduler's ``prepare`` hook: mark the job as moving and
+        ask it to pause."""
+        self.migrating = True
+        return self.request_pause()
+
+    def resume_as(self, process, host):
+        """Continue in the re-incarnated process after a migration."""
+        self.process = process
+        self.migrations += 1
+        return self.start(host)
+
+    def settle(self, ticket):
+        """Pick the job up once its move ``ticket`` is terminal.
+
+        A completed move resumes the job at the destination.  An
+        aborted one was rolled back: the kernel reinserted the process
+        at the source, where the job keeps running.  Returns the host
+        the job now runs on, or None when it runs nowhere.
+        """
+        self.migrating = False
+        world = self.world
+        if ticket.outcome == "completed":
+            host = world.host(ticket.dest)
+            self.resume_as(ticket.inserted, host)
+            return host
+        if ticket.outcome == "aborted" and not self.ended:
+            host = world.host(ticket.source)
+            process = host.kernel.processes.get(self.name)
+            if process is not None:
+                self.process = process
+                self.start(host)
+                return host
+        return None
+
+    def follow(self, ticket):
+        """Engine-process body: wait for ``ticket``, then :meth:`settle`."""
+        yield ticket.done
+        self.settle(ticket)
+
+    def _notify(self):
+        """Wake an idle body so it sees a pause request (no-op here)."""
+
+    def _end(self, failure=None):
+        """Stop for good: finished, or killed by ``failure``."""
+        if failure is None:
+            self.finished = True
+        else:
+            self.failed = True
+            self.failure = str(failure)
+        self._signal_paused()
+        if not self.done.triggered:
+            self.done.succeed(self)
+
+    def _signal_paused(self):
+        if self._paused_event is not None and not self._paused_event.triggered:
+            self._paused_event.succeed(self)
+
+
+class ManagedJob(MigratableJob):
+    """One workload instance under balancer control."""
+
+    def __init__(self, world, built, name=None):
+        super().__init__(world, built, name=name)
         self.result = RemoteRunResult(self.name)
         self.steps = list(built.trace.steps)
         self.compute_slice_s = built.trace.compute_slice_s
         self.position = 0
-        self.current_host = None
-        self.process = built.process
-        self.finished = False
         self.finished_at = None
-        self.migrations = 0
-        #: True while a scheduler-managed move is queued or in flight
-        #: (keeps the policy from re-picking a job already on the move).
-        self.migrating = False
-        self._pause_requested = False
-        self._paused_event = None
-        self._body = None
-        #: Fires when the job completes.
-        self.done = world.engine.event()
 
     def __repr__(self):
-        state = "done" if self.finished else f"at {self.position}/{len(self.steps)}"
+        if self.failed:
+            state = "killed"
+        elif self.finished:
+            state = "done"
+        else:
+            state = f"at {self.position}/{len(self.steps)}"
         host = self.current_host.name if self.current_host else "-"
         return f"<ManagedJob {self.name} {state} on {host}>"
 
@@ -63,39 +177,6 @@ class ManagedJob:
                 if step.kind == "real"
             }
         )
-
-    # -- lifecycle ------------------------------------------------------------
-    def start(self, host):
-        """Begin (or resume) execution on ``host``."""
-        if self.finished:
-            raise RuntimeError(f"{self.name} already finished")
-        self.current_host = host
-        self._pause_requested = False
-        self._body = self.world.engine.process(
-            self._run(host), name=f"job-{self.name}"
-        )
-        return self._body
-
-    def request_pause(self):
-        """Ask the job to stop at the next step boundary.
-
-        Returns an event that fires once the job is quiescent (safe to
-        excise).  If the job finishes before reaching a boundary the
-        event fires too — check :attr:`finished` afterwards.
-        """
-        if self._paused_event is None or self._paused_event.processed:
-            self._paused_event = self.world.engine.event()
-        self._pause_requested = True
-        if self.finished and not self._paused_event.triggered:
-            # Already quiescent forever; don't strand the waiter.
-            self._paused_event.succeed(self)
-        return self._paused_event
-
-    def resume_as(self, process, host):
-        """Continue in the re-incarnated process after a migration."""
-        self.process = process
-        self.migrations += 1
-        return self.start(host)
 
     # -- body -----------------------------------------------------------------
     def _run(self, host):
@@ -159,16 +240,15 @@ class ManagedJob:
                 self.position += 1
 
             yield from kernel.terminate(self.process.name)
+        except ResidualDependencyError as error:
+            # A source crash severed a residual dependency: the kernel
+            # killed the process, so the job ends here.
+            self._end(error)
+            return "killed"
         finally:
             exec_span.finish()
             obs.pop_phase(exec_span)
-        self.finished = True
         self.finished_at = engine.now
         self.result.finished_at = engine.now
-        self._signal_paused()
-        self.done.succeed(self)
+        self._end()
         return "finished"
-
-    def _signal_paused(self):
-        if self._paused_event is not None and not self._paused_event.triggered:
-            self._paused_event.succeed(self)

@@ -47,7 +47,11 @@ def snapshot_loads(hosts, jobs):
     running = {}
     request_rates = {}
     for job in jobs:
-        if job.current_host is not None and not job.finished:
+        if (
+            job.current_host is not None
+            and not job.finished
+            and not getattr(job, "failed", False)  # killed
+        ):
             host_name = job.current_host.name
             running[host_name] = running.get(host_name, 0) + 1
             rate = getattr(job, "requests_per_s", 0.0)

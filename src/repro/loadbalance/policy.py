@@ -58,6 +58,7 @@ class _ImbalancePolicy:
             job
             for job in jobs
             if not job.finished
+            and not getattr(job, "failed", False)
             and not getattr(job, "migrating", False)
             and job.current_host is not None
             and job.current_host.name == busiest.host_name

@@ -158,23 +158,20 @@ class NetMsgServer:
             ship_span.add("fragments", len(fragment_sizes))
             for section in message.sections_of(RegionSection):
                 self.pages_shipped_by_op[message.op] += len(section.pages)
-            pipes = [
-                self.engine.process(
+            pipes = []
+            for size in fragment_sizes:
+                pipe = self.engine.process(
                     self._fragment_pipe(
                         size, link, peer, message.op, ship_span, phase
                     ),
                     name=f"frag-{message.op}",
                 )
-                for size in fragment_sizes
-            ]
-            try:
-                yield self.engine.all_of(pipes)
-            except TransportError:
-                # Sibling fragments may still be mid-retransmission;
-                # their eventual failures are already accounted for.
-                for pipe in pipes:
-                    pipe.defuse()
-                raise
+                # The all_of below owns every fragment's failure: the
+                # first one fails the shipment, and siblings failing
+                # later (or at the same instant) are already accounted.
+                pipe.defuse()
+                pipes.append(pipe)
+            yield self.engine.all_of(pipes)
             if peer.host.crashed:
                 raise TransportError(
                     f"{peer.host.name} crashed before {message.op} "

@@ -28,6 +28,8 @@ per-stage percentiles per run — and a sweep trace yields percentiles
 per strategy/prefetch for free, one run per trial.
 """
 
+from repro.obs.registry import nearest_rank
+
 #: Stamp attribute per lifecycle stage boundary, in causal order.
 _MARKS = ("raised", "request_at", "service_at", "reply_at", "resumed_at")
 
@@ -179,14 +181,6 @@ class LifecycleProfiler:
         return [record.to_dict() for record in self._records.values()]
 
 
-def _percentile(ordered, q):
-    """Exact q-quantile of a sorted sequence (nearest-rank)."""
-    if not ordered:
-        return None
-    rank = max(0, min(len(ordered) - 1, int(q * len(ordered))))
-    return ordered[rank]
-
-
 def aggregate(records):
     """Per-stage latency statistics over fault records.
 
@@ -214,9 +208,9 @@ def aggregate(records):
         stages[stage] = {
             "count": len(values),
             "mean": sum(values) / len(values),
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-            "p99": _percentile(values, 0.99),
+            "p50": nearest_rank(values, 0.50),
+            "p95": nearest_rank(values, 0.95),
+            "p99": nearest_rank(values, 0.99),
             "max": values[-1],
         }
     return {

@@ -26,6 +26,17 @@ DEFAULT_LATENCY_BUCKETS = (
 )
 
 
+def nearest_rank(ordered, q):
+    """Exact q-quantile of a sorted sequence by nearest rank (or None).
+
+    What a :class:`Histogram` estimates from buckets, this reads off
+    the raw values: freeze times, request latencies, fault stages.
+    """
+    if not ordered:
+        return None
+    return ordered[max(0, min(len(ordered) - 1, int(q * len(ordered))))]
+
+
 class Counter:
     """A monotonically increasing value."""
 

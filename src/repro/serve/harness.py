@@ -14,12 +14,13 @@ configured) and the scheduler/testbed/fault plumbing unchanged, so
 ``--sample-period`` and the full transfer-strategy surface.
 """
 
-import hashlib
-import json
-
 from repro.cluster.scheduler import ClusterScheduler
-from repro.cluster.stress import interarrival
-from repro.testbed import Testbed
+from repro.cluster.stress import (
+    ClusterResult,
+    cluster_world,
+    migration_arrivals,
+)
+from repro.obs.registry import nearest_rank
 from repro.workloads.builder import build_process
 from repro.workloads.registry import workload_by_name
 
@@ -32,33 +33,15 @@ from repro.serve.workloads import ServeError, serving_by_name
 LATENCY_PERCENTILES = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
 
 
-def _nearest_rank(values, q):
-    """Exact nearest-rank percentile over a sorted list (or None)."""
-    if not values:
-        return None
-    rank = min(len(values) - 1, max(0, int(q * len(values))))
-    return values[rank]
-
-
-class ServingResult:
+class ServingResult(ClusterResult):
     """Everything one serving run measured, canonically serialisable."""
 
     def __init__(self, config, world, scheduler, router, jobs, makespan_s):
-        self.config = config
-        self.obs = world.obs
-        self.scheduler = scheduler
+        super().__init__(config, world, scheduler, jobs, makespan_s)
         self.router = router
-        self.jobs = list(jobs)
-        self.tickets = list(scheduler.tickets)
-        self.makespan_s = makespan_s
-        self.outcomes = scheduler.outcome_counts()
         self.counts = dict(router.counts)
         #: Terminal per-request records (see FlowRouter._record).
         self.records = list(router.records)
-        metrics = world.metrics
-        self.bytes_total = metrics.total_link_bytes
-        self.faults = dict(metrics.faults)
-        self.events_dispatched = world.engine.dispatched
         #: Correct iff every served page verified, something actually
         #: completed, and request conservation held.
         self.verified = (
@@ -86,7 +69,7 @@ class ServingResult:
 
     def latency_percentile(self, q, kind=None, during=None):
         """Exact nearest-rank latency quantile, or None if empty."""
-        return _nearest_rank(self.latencies(kind=kind, during=during), q)
+        return nearest_rank(self.latencies(kind=kind, during=during), q)
 
     def _summary_for(self, kind=None):
         block = {}
@@ -94,7 +77,7 @@ class ServingResult:
             values = self.latencies(kind=kind, during=during)
             entry = {"count": len(values)}
             for suffix, q in LATENCY_PERCENTILES:
-                value = _nearest_rank(values, q)
+                value = nearest_rank(values, q)
                 entry[suffix] = None if value is None else round(value, 9)
             block[scope] = entry
         return block
@@ -144,12 +127,6 @@ class ServingResult:
             },
         }
 
-    @property
-    def determinism_hash(self):
-        """SHA-256 over the canonical result — equal across replays."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
     def __repr__(self):
         return (
             f"<ServingResult {len(self.jobs)} services "
@@ -172,13 +149,7 @@ def run_serve(config, calibration=None, instrument=False, faults=None):
             "run_serve needs a serving mix: set StressConfig(services=...)"
         )
     specs = [serving_by_name(name) for name in config.services]
-    bed = Testbed(
-        seed=config.seed, calibration=calibration,
-        instrument=instrument, faults=faults,
-        sample_period=config.sample_period, slos=config.slo_objectives,
-    )
-    world = bed.world(host_names=config.host_names)
-    world.apply_options(config.transfer_options)
+    world = cluster_world(config, calibration, instrument, faults)
     engine = world.engine
     router = FlowRouter(
         world,
@@ -205,69 +176,6 @@ def run_serve(config, calibration=None, instrument=False, faults=None):
         inflight_cap=config.inflight_cap,
         queue_limit=config.queue_limit,
     )
-    jobs_by_name = {job.name: job for job in jobs}
-
-    def prepare_for(job):
-        def prepare():
-            # Freeze the flow the instant the move is admitted, so no
-            # request chases a process that is about to go quiescent.
-            router.freeze(job.name)
-            job.migrating = True
-            return job.request_pause()
-        return prepare
-
-    def follow(ticket):
-        """Re-bind the flow once the move reaches a terminal state."""
-        yield ticket.done
-        job = jobs_by_name[ticket.process_name]
-        job.migrating = False
-        if ticket.outcome == "completed":
-            job.resume_as(ticket.inserted, world.host(ticket.dest))
-            router.unfreeze(job.name, ticket.dest)
-            return
-        if job.failed:
-            return  # the job already failed the flow
-        if ticket.outcome == "aborted":
-            # Rolled back: the kernel reinserted the process at the
-            # source; keep serving there.
-            process = world.host(ticket.source).kernel.processes.get(
-                ticket.process_name
-            )
-            if process is not None:
-                job.process = process
-                job.start(world.host(ticket.source))
-                router.unfreeze(job.name, ticket.source)
-                return
-        router.service_dead(job.name, ticket.reason or ticket.outcome)
-
-    def migration_arrivals():
-        gaps = world.streams.stream("serve.arrivals")
-        picks = world.streams.stream("serve.picks")
-        names = config.host_names
-        for index in range(config.migrations):
-            gap = interarrival(
-                config.arrival, config.rate_per_s, config.burst_size,
-                gaps, index,
-            )
-            if gap > 0:
-                yield engine.timeout(gap)
-            # Prefer flows that are not already on the move (a second
-            # ticket for an in-flight job would only be rejected) and
-            # that still have a live server behind them.
-            candidates = [
-                job for job in jobs if not job.migrating and not job.failed
-            ] or jobs
-            job = candidates[picks.randrange(len(candidates))]
-            here = job.current_host.name
-            others = [name for name in names if name != here]
-            dest = others[picks.randrange(len(others))]
-            ticket = scheduler.submit(
-                job.name, dest, source=here,
-                strategy=config.strategy, prepare=prepare_for(job),
-            )
-            if ticket.outcome is None:
-                engine.process(follow(ticket), name=f"follow-{job.name}")
-
     clients = []
     client_id = 0
     for job in jobs:
@@ -288,7 +196,14 @@ def run_serve(config, calibration=None, instrument=False, faults=None):
             )
             client_id += 1
 
-    driver = engine.process(migration_arrivals(), name="serve-arrivals")
+    # Prefer flows that are not already on the move (a second ticket
+    # for an in-flight job would only be rejected) and that still have
+    # a live server behind them.
+    arrivals = migration_arrivals(
+        config, world, scheduler, jobs, "serve.",
+        eligible=lambda job: not job.migrating and not job.failed,
+    )
+    driver = engine.process(arrivals, name="serve-arrivals")
     engine.run(until=engine.all_of([driver] + clients))
     engine.run(until=scheduler.drain())
     router.close()
@@ -296,7 +211,6 @@ def run_serve(config, calibration=None, instrument=False, faults=None):
     for job in jobs:
         job.shutdown()
     engine.run(until=engine.all_of([job.done for job in jobs]))
-    makespan = engine.now
-    world.stop_telemetry()
-    engine.run()  # drain asynchronous residue (segment deaths etc.)
-    return ServingResult(config, world, scheduler, router, jobs, makespan)
+    return ServingResult(
+        config, world, scheduler, router, jobs, world.finish()
+    )

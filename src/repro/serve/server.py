@@ -23,43 +23,28 @@ from collections import deque
 
 from repro.accent.constants import PAGE_SIZE
 from repro.faults import ResidualDependencyError
+from repro.loadbalance.job import MigratableJob
 from repro.workloads.content import WRITE_MARKER, page_head
 
 from repro.serve.workloads import make_pattern
 
 
-class ServingJob:
+class ServingJob(MigratableJob):
     """One request-serving process under router + scheduler control."""
 
     def __init__(self, world, built, serving, name=None):
-        self.world = world
-        self.built = built
-        self.spec = built.spec
+        super().__init__(world, built, name=name)
         self.serving = serving
-        self.name = name or built.process.name
-        self.process = built.process
-        self.current_host = None
         self.started_at = None
         #: Requests served to completion (all incarnations).
         self.served = 0
         self.mismatches = []
-        self.migrations = 0
-        self.migrating = False
-        #: True once a ResidualDependencyError killed the process.
-        self.failed = False
-        self.failure = None
-        #: True after a clean shutdown terminated the process.
-        self.finished = False
         self.router = None
         self._inbox = deque()
         #: The request being served right now (handed back on a kill).
         self._current = None
         self._wake = None
-        self._pause_requested = False
-        self._paused_event = None
         self._shutdown = False
-        #: Fires when the job ends for good (shutdown or kill).
-        self.done = world.engine.event()
         rng = world.streams.stream(f"serve.pattern:{self.name}")
         self.pattern = make_pattern(serving, built.plan, rng)
 
@@ -100,35 +85,22 @@ class ServingJob:
             wake.succeed(None)
 
     # -- lifecycle ---------------------------------------------------------------
-    def start(self, host):
-        """Begin (or resume) serving on ``host``."""
-        if self.finished or self.failed:
-            raise RuntimeError(f"{self.name} is no longer runnable")
-        self.current_host = host
-        self._pause_requested = False
-        return self.world.engine.process(
-            self._run(host), name=f"serve-{self.name}"
-        )
+    def prepare_move(self):
+        # Freeze the flow the instant the move is admitted, so no
+        # request chases a process that is about to go quiescent.
+        self.router.freeze(self.name)
+        return super().prepare_move()
 
-    def request_pause(self):
-        """Ask for quiescence at the next request boundary.
-
-        Returns an event firing once the process is safe to excise.
-        A dead job is quiescent forever, so the event fires at once.
-        """
-        if self._paused_event is None or self._paused_event.processed:
-            self._paused_event = self.world.engine.event()
-        self._pause_requested = True
-        if (self.finished or self.failed) and not self._paused_event.triggered:
-            self._paused_event.succeed(self)
-        self._notify()
-        return self._paused_event
-
-    def resume_as(self, process, host):
-        """Continue in the re-incarnated process after a migration."""
-        self.process = process
-        self.migrations += 1
-        return self.start(host)
+    def settle(self, ticket):
+        """Re-bind the flow where the job now serves, or fail it."""
+        host = super().settle(ticket)
+        if host is not None:
+            self.router.unfreeze(self.name, host.name)
+        elif not self.failed:
+            self.router.service_dead(
+                self.name, ticket.reason or ticket.outcome
+            )
+        return host
 
     def shutdown(self):
         """Stop serving once the inbox drains; returns :attr:`done`."""
@@ -168,30 +140,23 @@ class ServingJob:
                 self._current = None
             yield from kernel.terminate(self.process.name)
         except ResidualDependencyError as error:
-            self.failed = True
-            self.failure = str(error)
             # Declare the flow dead *before* handing the inbox back:
             # requeue would otherwise re-dispatch straight into this
             # (now dead) server and strand the requests.
             if self.router is not None:
-                self.router.service_dead(self.name, self.failure)
+                self.router.service_dead(self.name, str(error))
             # The request in hand died with the fault protocol; it must
             # still reach a terminal state, so it goes back too.
             if self._current is not None and self._current.outcome is None:
                 self._inbox.appendleft(self._current)
             self._current = None
             self._hand_back_inbox()
-            self._signal_paused()
-            if not self.done.triggered:
-                self.done.succeed(self)
+            self._end(error)
             return "killed"
         finally:
             exec_span.finish()
             obs.pop_phase(exec_span)
-        self.finished = True
-        self._signal_paused()
-        if not self.done.triggered:
-            self.done.succeed(self)
+        self._end()
         return "finished"
 
     def _serve(self, request, engine, kernel, host):
@@ -226,7 +191,3 @@ class ServingJob:
         self._inbox.clear()
         if self.router is not None:
             self.router.requeue(self.name, pending)
-
-    def _signal_paused(self):
-        if self._paused_event is not None and not self._paused_event.triggered:
-            self._paused_event.succeed(self)

@@ -139,6 +139,17 @@ class TestbedWorld:
         if telemetry is not None:
             telemetry.stop()
 
+    def finish(self):
+        """End a run: stop the sampler, then drain the in-flight
+        asynchronous residue (segment-death messages and the like).
+
+        Returns the simulated time the run ended at, before the drain.
+        """
+        ended = self.engine.now
+        self.stop_telemetry()
+        self.engine.run()
+        return ended
+
     # The classic two-host views used throughout the test suite.
     @property
     def source(self):
@@ -669,9 +680,7 @@ class Testbed:
 
         process = world.engine.process(trial(), name=f"trial-{spec.name}")
         world.engine.run(until=process)
-        # Drain in-flight asynchronous traffic (segment-death messages).
-        world.stop_telemetry()
-        world.engine.run()
+        world.finish()
         return Trial(
             spec, options, path, world, run_result if run_remote else None,
             outcome, failure, hop_times, rounds,

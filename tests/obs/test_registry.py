@@ -6,7 +6,17 @@ from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     Registry,
+    nearest_rank,
 )
+
+
+def test_nearest_rank_reads_the_raw_values():
+    values = [0.1, 0.2, 0.3, 0.4]
+    assert nearest_rank([], 0.5) is None
+    assert nearest_rank(values, 0.0) == 0.1
+    assert nearest_rank(values, 0.5) == 0.3
+    assert nearest_rank(values, 0.99) == 0.4
+    assert nearest_rank(values, 1.0) == 0.4  # clamped to the last rank
 
 
 # -- histogram bucket edges --------------------------------------------------------

@@ -97,6 +97,30 @@ def test_balance_command():
     assert "makespan" in text
 
 
+@pytest.mark.parametrize("inflight", [[], ["--inflight", "2"]])
+def test_balance_under_a_source_crash_ends_cleanly(tmp_path, inflight):
+    import json
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"crashes": [
+        {"host": "node0", "at": 12.0, "recover_at": 20.0},
+    ]}), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, text = run_cli(
+        ["balance", "chess", "chess", "pm-mid", "minprog", "--hosts", "3",
+         "--faults", str(plan), "--json", str(report), *inflight]
+    )
+    assert code == 0
+    assert "aborted=" in text
+    cap = 2 if inflight else 1
+    assert f"scheduler: cap {cap}/host" in text
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    outcomes = payload["scheduler"]["outcomes"]
+    assert outcomes["aborted"] >= 1
+    assert outcomes["completed"] == len(payload["migrations"])
+    assert payload["verified"]
+
+
 def test_balance_rejects_unknown_workload():
     code, text = run_cli(["balance", "tetris"])
     assert code == 2
@@ -372,6 +396,24 @@ def test_stress_text_reports_the_determinism_hash():
     assert code == 0
     assert "determinism hash" in text
     assert "verified          True" in text
+
+
+def test_stress_reports_jobs_a_source_crash_killed(tmp_path):
+    import json
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"crashes": [{"host": "node00", "at": 8.0}]}
+    ), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, text = run_cli(
+        ["stress", "--hosts", "4", "--procs", "8", "--seed", "7",
+         "--faults", str(plan), "--json", str(report)]
+    )
+    assert code == 0
+    killed = json.loads(report.read_text(encoding="utf-8"))["killed"]
+    assert killed
+    assert f"killed            {', '.join(killed)}" in text
 
 
 def test_serve_command_reports_during_migration_latency():
