@@ -10,16 +10,6 @@ SPACE_LIMIT = 4 * 1024 * 1024 * 1024
 SPACE_PAGES = SPACE_LIMIT // PAGE_SIZE
 
 
-def page_of(address):
-    """Page index containing byte ``address``."""
-    return address // PAGE_SIZE
-
-
-def page_base(page_index):
-    """First byte address of page ``page_index``."""
-    return page_index * PAGE_SIZE
-
-
 def pages_spanned(start, size):
     """Range of page indices touched by ``size`` bytes at ``start``."""
     if size <= 0:

@@ -95,12 +95,17 @@ class MigrationTicket:
         return self.finished_at - self.frozen_at
 
 
+def check_inflight_cap(inflight_cap):
+    """Reject a per-host in-flight cap below one with a ValueError."""
+    if inflight_cap < 1:
+        raise ValueError(f"inflight_cap must be >= 1, got {inflight_cap}")
+
+
 class ClusterScheduler:
     """Admits up to ``inflight_cap`` concurrent migrations per host."""
 
     def __init__(self, world, inflight_cap=4, queue_limit=None):
-        if inflight_cap < 1:
-            raise ValueError(f"inflight_cap must be >= 1, got {inflight_cap}")
+        check_inflight_cap(inflight_cap)
         self.world = world
         self.engine = world.engine
         self.inflight_cap = inflight_cap

@@ -130,10 +130,6 @@ class BackingServer:
         except KeyError:
             raise BackerError(f"unknown segment {segment_id}") from None
 
-    @property
-    def live_segments(self):
-        return [s for s in self.segments.values() if not s.dead]
-
     def owed_pages(self):
         """Pages this backer still owes across live segments — the
         host's outstanding residual-dependency gauge."""

@@ -88,9 +88,3 @@ class FaultInjector:
     def record_drop(self, reason):
         """Count one eaten fragment (called by the link)."""
         self._drops.inc(1, reason=reason)
-
-    def drops(self, reason=None):
-        """Total fragments dropped (optionally for one reason)."""
-        if reason is not None:
-            return self._drops.value(reason=reason)
-        return sum(child.value for _, child in self._drops.items())

@@ -25,6 +25,7 @@ from repro.loadbalance.policy import (
     EagerCopyPolicy,
     MigrationDecision,
     NoMigrationPolicy,
+    POLICIES,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "ManagedJob",
     "MigrationDecision",
     "NoMigrationPolicy",
+    "POLICIES",
     "Scenario",
     "ScenarioResult",
     "snapshot_loads",

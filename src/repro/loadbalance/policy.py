@@ -139,3 +139,11 @@ class BreakevenPolicy(_ImbalancePolicy):
         if strategy == PURE_COPY:
             prefetch = 0
         return strategy, prefetch
+
+
+#: The policies by the names ``repro balance --policy`` takes.
+POLICIES = {
+    "none": NoMigrationPolicy,
+    "eager-copy": EagerCopyPolicy,
+    "breakeven": BreakevenPolicy,
+}

@@ -84,23 +84,7 @@ class MigrationManager:
             dest=dest_manager.host.name,
         )
         obs.migration_roots[process_name] = root
-
-        excise_span = root.child("excise")
-        obs.push_phase(excise_span)
-        metrics.mark("excise.start")
-        core, rimas = yield from kernel.excise_process(process_name)
-        metrics.mark("excise.end")
-        excise_span.finish()
-        obs.pop_phase(excise_span)
-
-        # The process no longer exists anywhere until InsertProcess
-        # completes at the peer; the freeze span (separate track, since
-        # it overlaps transfer + insert) measures that outage.
-        root.child("freeze", track="freeze")
-
-        core.dest = dest_manager.port
-        rimas.dest = dest_manager.port
-
+        core, rimas = yield from self._excise(process_name, dest_manager, root)
         plan = strategy.plan(PlanContext(self, rimas, options))
 
         transfer_span = root.child("transfer")
@@ -137,6 +121,25 @@ class MigrationManager:
             )
         transfer_span.finish()
         obs.pop_phase(transfer_span)
+
+    def _excise(self, process_name, dest_manager, root):
+        """Generator: excise the process under an ``excise`` span;
+        returns its Core and RIMAS messages, addressed to the peer."""
+        metrics = self.host.metrics
+        excise_span = root.child("excise")
+        metrics.obs.push_phase(excise_span)
+        metrics.mark("excise.start")
+        core, rimas = yield from self.host.kernel.excise_process(process_name)
+        metrics.mark("excise.end")
+        excise_span.finish()
+        metrics.obs.pop_phase(excise_span)
+        # The process no longer exists anywhere until InsertProcess
+        # completes at the peer; the freeze span (separate track, since
+        # it overlaps transfer + insert) measures that outage.
+        root.child("freeze", track="freeze")
+        core.dest = dest_manager.port
+        rimas.dest = dest_manager.port
+        return core, rimas
 
     def _transfer_pipelined(self, process_name, dest_manager, core, rimas,
                             plan, root, transfer_span):
@@ -348,27 +351,8 @@ class MigrationManager:
             self.host.kernel.post(register)
 
     # -- pre-copy support (Theimer's V baseline, §5) -----------------------------
-    def migrate_precopy(
-        self,
-        process_name,
-        dest_manager,
-        dirty_rate_pps,
-        streams,
-        stop_threshold=32,
-        max_rounds=5,
-    ):
-        """Generator: source side of an iterative pre-copy migration."""
-        return (
-            yield from precopy_migrate(
-                self,
-                process_name,
-                dest_manager,
-                dirty_rate_pps,
-                streams,
-                stop_threshold=stop_threshold,
-                max_rounds=max_rounds,
-            )
-        )
+    #: Generator: source side of an iterative pre-copy migration.
+    migrate_precopy = precopy_migrate
 
     def _absorb_precopy_round(self, message):
         name = message.meta["process_name"]

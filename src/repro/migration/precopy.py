@@ -124,16 +124,7 @@ def precopy_migrate(
     # Stop the process: everything from here is downtime.
     metrics.mark("downtime.start")
     _redirty(space, final_dirty)
-    excise_span = root.child("excise")
-    obs.push_phase(excise_span)
-    metrics.mark("excise.start")
-    core, rimas = yield from kernel.excise_process(process_name)
-    metrics.mark("excise.end")
-    excise_span.finish()
-    obs.pop_phase(excise_span)
-    root.child("freeze", track="freeze")
-    core.dest = dest_manager.port
-    rimas.dest = dest_manager.port
+    core, rimas = yield from manager._excise(process_name, dest_manager, root)
 
     # Final RIMAS: only the pages dirtied since the last round travel;
     # the destination merges its pre-copied stash for the rest.

@@ -92,15 +92,53 @@ class ServingResult(ClusterResult):
         }
         return summary
 
+    def _latency_row(self, label, during):
+        values = self.latencies(during=during)
+        if not values:
+            return f"{label} no completed requests"
+        p50, p99, p999 = (
+            nearest_rank(values, q) for _, q in LATENCY_PERCENTILES
+        )
+        return (f"{label} p50 {p50:.3f}s  p99 {p99:.3f}s  "
+                f"p999 {p999:.3f}s  ({len(values)} requests)")
+
+    def _rows(self):
+        config, counts = self.config, self.counts
+        rows = [
+            f"serve {len(config.services)} service kind(s) x "
+            f"{config.procs} procs on {config.hosts} hosts, "
+            f"{config.clients_per_service} client(s)/proc x "
+            f"{config.requests_per_client} requests "
+            f"({config.request_arrival} at "
+            f"{config.request_rate_per_s:g}/s), seed {config.seed}",
+            f"requests          issued {counts['issued']}  "
+            f"completed {counts['completed']}  "
+            f"dropped {counts['dropped']}  retried {counts['retried']}  "
+            f"redirected {counts['redirected']}",
+            self._latency_row("latency (all)    ", None),
+            self._latency_row("during migration ", True),
+        ]
+        for kind in sorted({job.serving.name for job in self.jobs}):
+            overall, during = (
+                self.latency_percentile(0.99, kind=kind, during=flag)
+                for flag in (None, True)
+            )
+            rows.append(
+                f"  {kind:<10} p99 "
+                f"{'-' if overall is None else f'{overall:.3f}s'}  "
+                f"during-migration p99 "
+                f"{'-' if during is None else f'{during:.3f}s'}"
+            )
+        rows.append(f"migrations        {self.outcome_summary()}  "
+                    f"(makespan {self.makespan_s:.1f}s)")
+        return rows
+
     # -- canonical form ----------------------------------------------------------
     def to_dict(self):
-        """Canonical plain-data view — the determinism-hash input."""
-        return {
-            "config": self.config.to_dict(),
-            "makespan_s": self.makespan_s,
+        data = super().to_dict()
+        data.update({
             "requests": dict(sorted(self.counts.items())),
             "latency": self.latency_summary(),
-            "outcomes": dict(sorted(self.outcomes.items())),
             "windows": {
                 service: [
                     [round(opened, 9),
@@ -109,10 +147,6 @@ class ServingResult(ClusterResult):
                 ]
                 for service, spans in sorted(self.router.windows.items())
             },
-            "bytes_total": self.bytes_total,
-            "faults": dict(sorted(self.faults.items())),
-            "events_dispatched": self.events_dispatched,
-            "verified": self.verified,
             "jobs": {
                 job.name: {
                     "service": job.serving.name,
@@ -125,7 +159,8 @@ class ServingResult(ClusterResult):
                 }
                 for job in self.jobs
             },
-        }
+        })
+        return data
 
     def __repr__(self):
         return (

@@ -59,10 +59,6 @@ class ServingJob(MigratableJob):
         return f"<ServingJob {self.name} ({self.serving.name}) {state} on {host}>"
 
     @property
-    def inbox_depth(self):
-        return len(self._inbox)
-
-    @property
     def requests_per_s(self):
         """Lifetime request throughput — the load-balancer's optional
         serving-load signal (see :func:`~repro.loadbalance.metrics.snapshot_loads`)."""

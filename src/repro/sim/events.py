@@ -85,15 +85,6 @@ class Event:
         self.engine.schedule(self, 0.0, priority)
         return self
 
-    def trigger(self, event):
-        """Trigger this event with the state of another (for chaining)."""
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.engine.schedule(self)
-        return self
-
     def defuse(self):
         """Mark a failed event as handled so the engine won't re-raise it."""
         self._defused = True
