@@ -100,13 +100,9 @@ class Kernel:
 
     # -- memory reference path ----------------------------------------------------
     def touch(self, process, page_index, write=False):
-        """Reference one page; ``None`` if free, else a cost generator.
-
-        Callers do::
-
-            cost = kernel.touch(proc, index, write=True)
-            if cost is not None:
-                yield from cost
+        """Reference one page; ``None`` if free, else a cost generator
+        the caller runs with ``yield from`` (see
+        :func:`repro.workloads.runner.reference`).
         """
         space = process.space
         entry = space.page_table.get(page_index)

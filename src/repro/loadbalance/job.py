@@ -12,18 +12,17 @@ contents the whole way.  Its serving sibling is
 :class:`~repro.serve.server.ServingJob`.
 """
 
-from repro.accent.constants import PAGE_SIZE
 from repro.faults import ResidualDependencyError
-from repro.workloads.content import WRITE_MARKER, page_head
-from repro.workloads.runner import RemoteRunResult
+from repro.workloads.runner import RemoteRunResult, cpu_slice, reference
 
 
 class MigratableJob:
     """A job body that pauses, moves and resumes as one logical job.
 
-    Subclasses supply the ``_run(host)`` generator, which checks
-    ``_pause_requested`` at its own boundaries and ends through
-    :meth:`_end`.
+    :meth:`_run` owns one incarnation: the exec span, the pause signal,
+    ``terminate`` and the kill path.  Subclasses supply the
+    ``_body(host)`` generator, which checks ``_pause_requested`` at its
+    own boundaries and returns ``"paused"`` there.
     """
 
     def __init__(self, world, built, name=None):
@@ -42,6 +41,8 @@ class MigratableJob:
         #: True once a ResidualDependencyError killed the process.
         self.failed = False
         self.failure = None
+        self.started_at = None
+        self.finished_at = None
         self._pause_requested = False
         self._paused_event = None
         #: Fires when the job ends for good (finished or killed).
@@ -118,8 +119,42 @@ class MigratableJob:
         yield ticket.done
         self.settle(ticket)
 
+    def _run(self, host):
+        """Engine-process body: one incarnation on ``host``."""
+        engine = self.world.engine
+        if self.started_at is None:
+            self.started_at = engine.now
+        # One exec span per incarnation: residual-fault traffic this job
+        # raises while running lands on its own root, not on whatever
+        # migration happens to be in flight at the same instant.
+        obs = self.world.obs
+        exec_span = obs.tracer.span(
+            "exec", process=self.name, host=host.name
+        )
+        obs.push_phase(exec_span)
+        try:
+            if (yield from self._body(host)) == "paused":
+                self._signal_paused()
+                return "paused"
+            yield from host.kernel.terminate(self.process.name)
+        except ResidualDependencyError as error:
+            # A source crash severed a residual dependency: the kernel
+            # killed the process, so the job ends here.
+            self._killed(error)
+            self._end(error)
+            return "killed"
+        finally:
+            exec_span.finish()
+            obs.pop_phase(exec_span)
+        self.finished_at = engine.now
+        self._end()
+        return "finished"
+
     def _notify(self):
         """Wake an idle body so it sees a pause request (no-op here)."""
+
+    def _killed(self, error):
+        """Clean up after a kill, before the job ends (no-op here)."""
 
     def _end(self, failure=None):
         """Stop for good: finished, or killed by ``failure``."""
@@ -146,7 +181,6 @@ class ManagedJob(MigratableJob):
         self.steps = list(built.trace.steps)
         self.compute_slice_s = built.trace.compute_slice_s
         self.position = 0
-        self.finished_at = None
 
     def __repr__(self):
         if self.failed:
@@ -179,76 +213,26 @@ class ManagedJob(MigratableJob):
         )
 
     # -- body -----------------------------------------------------------------
-    def _run(self, host):
-        engine = self.world.engine
+    def _body(self, host):
+        # Loop-invariant bindings: the step list, slice length and
+        # process identity are fixed for the whole incarnation (a
+        # migration ends this generator and starts a fresh one), so
+        # only the externally-written pause flag and position are
+        # re-read through ``self`` each step.
         kernel = host.kernel
-        expected_name = self.spec.name
-        head_len = len(page_head(expected_name, 0))
-        if self.result.started_at is None:
-            self.result.started_at = engine.now
-        # One exec span per incarnation: residual-fault traffic this job
-        # raises while running lands on its own root, not on whatever
-        # migration happens to be in flight at the same instant.
-        obs = self.world.obs
-        exec_span = obs.tracer.span(
-            "exec", process=self.name, host=host.name
-        )
-        obs.push_phase(exec_span)
-        try:
-            # Loop-invariant bindings: the step list, slice length and
-            # process identity are fixed for the whole incarnation (a
-            # migration ends this generator and starts a fresh one), so
-            # only the externally-written pause flag and position are
-            # re-read through ``self`` each step.
-            steps = self.steps
-            nsteps = len(steps)
-            compute_slice = self.compute_slice_s
-            cpu = host.cpu
-            timeout = engine.timeout
-            touch = kernel.touch
-            process = self.process
-            space = process.space
-            result = self.result
-            while self.position < nsteps:
-                if self._pause_requested:
-                    self._signal_paused()
-                    return "paused"
-                step = steps[self.position]
-                if compute_slice > 0:
-                    grant = cpu.request()
-                    try:
-                        yield grant
-                        yield timeout(compute_slice)
-                    finally:
-                        cpu.release(grant)
-                cost = touch(process, step.page_index, write=step.write)
-                if cost is not None:
-                    yield from cost
-                address = step.page_index * PAGE_SIZE
-                if step.kind == "real":
-                    actual = space.peek(address, head_len)
-                    expected = page_head(expected_name, step.page_index)
-                    if actual != expected and not actual.startswith(
-                        WRITE_MARKER
-                    ):
-                        result.mismatches.append(
-                            (step.page_index, expected, actual)
-                        )
-                if step.write:
-                    space.poke(address, WRITE_MARKER)
-                result.steps_executed += 1
-                self.position += 1
-
-            yield from kernel.terminate(self.process.name)
-        except ResidualDependencyError as error:
-            # A source crash severed a residual dependency: the kernel
-            # killed the process, so the job ends here.
-            self._end(error)
-            return "killed"
-        finally:
-            exec_span.finish()
-            obs.pop_phase(exec_span)
-        self.finished_at = engine.now
-        self.result.finished_at = engine.now
-        self._end()
-        return "finished"
+        name = self.spec.name
+        steps = self.steps
+        compute_slice = self.compute_slice_s
+        process = self.process
+        result = self.result
+        while self.position < len(steps):
+            if self._pause_requested:
+                return "paused"
+            step = steps[self.position]
+            yield from cpu_slice(host, compute_slice)
+            yield from reference(
+                kernel, process, name, step.page_index, step.write,
+                step.kind != "zero", result.mismatches,
+            )
+            result.steps_executed += 1
+            self.position += 1

@@ -21,10 +21,8 @@ the flow so conservation still holds.
 
 from collections import deque
 
-from repro.accent.constants import PAGE_SIZE
-from repro.faults import ResidualDependencyError
 from repro.loadbalance.job import MigratableJob
-from repro.workloads.content import WRITE_MARKER, page_head
+from repro.workloads.runner import cpu_slice, reference
 
 from repro.serve.workloads import make_pattern
 
@@ -35,7 +33,6 @@ class ServingJob(MigratableJob):
     def __init__(self, world, built, serving, name=None):
         super().__init__(world, built, name=name)
         self.serving = serving
-        self.started_at = None
         #: Requests served to completion (all incarnations).
         self.served = 0
         self.mismatches = []
@@ -105,77 +102,46 @@ class ServingJob(MigratableJob):
         return self.done
 
     # -- body --------------------------------------------------------------------
-    def _run(self, host):
-        engine = self.world.engine
-        kernel = host.kernel
-        if self.started_at is None:
-            self.started_at = engine.now
-        # One exec span per incarnation, as for ManagedJob: residual
-        # faults raised while serving land on this job's own root.
-        obs = self.world.obs
-        exec_span = obs.tracer.span(
-            "exec", process=self.name, host=host.name
-        )
-        obs.push_phase(exec_span)
-        try:
-            while True:
-                if self._pause_requested:
-                    self._hand_back_inbox()
-                    self._signal_paused()
-                    return "paused"
-                if not self._inbox:
-                    if self._shutdown:
-                        break
-                    self._wake = engine.event()
-                    yield self._wake
-                    self._wake = None
-                    continue
-                request = self._inbox.popleft()
-                self._current = request
-                yield from self._serve(request, engine, kernel, host)
-                self._current = None
-            yield from kernel.terminate(self.process.name)
-        except ResidualDependencyError as error:
-            # Declare the flow dead *before* handing the inbox back:
-            # requeue would otherwise re-dispatch straight into this
-            # (now dead) server and strand the requests.
-            if self.router is not None:
-                self.router.service_dead(self.name, str(error))
-            # The request in hand died with the fault protocol; it must
-            # still reach a terminal state, so it goes back too.
-            if self._current is not None and self._current.outcome is None:
-                self._inbox.appendleft(self._current)
+    def _body(self, host):
+        while True:
+            if self._pause_requested:
+                self._hand_back_inbox()
+                return "paused"
+            if not self._inbox:
+                if self._shutdown:
+                    return None
+                self._wake = self.world.engine.event()
+                yield self._wake
+                self._wake = None
+                continue
+            request = self._inbox.popleft()
+            self._current = request
+            yield from self._serve(request, host)
             self._current = None
-            self._hand_back_inbox()
-            self._end(error)
-            return "killed"
-        finally:
-            exec_span.finish()
-            obs.pop_phase(exec_span)
-        self._end()
-        return "finished"
 
-    def _serve(self, request, engine, kernel, host):
+    def _killed(self, error):
+        # Declare the flow dead *before* handing the inbox back:
+        # requeue would otherwise re-dispatch straight into this
+        # (now dead) server and strand the requests.
+        if self.router is not None:
+            self.router.service_dead(self.name, str(error))
+        # The request in hand died with the fault protocol; it must
+        # still reach a terminal state, so it goes back too.
+        if self._current is not None and self._current.outcome is None:
+            self._inbox.appendleft(self._current)
+        self._current = None
+        self._hand_back_inbox()
+
+    def _serve(self, request, host):
         router = self.router
         if router is not None and not router.begin_service(request):
             return  # attempt expired; the router retried or dropped it
-        if self.serving.service_s > 0:
-            with host.cpu.held() as grant:
-                yield grant
-                yield engine.timeout(self.serving.service_s)
-        expected_name = self.spec.name
-        head_len = len(page_head(expected_name, 0))
+        yield from cpu_slice(host, self.serving.service_s)
         for index, write in self.pattern.next_request():
-            cost = kernel.touch(self.process, index, write=write)
-            if cost is not None:
-                yield from cost
-            address = index * PAGE_SIZE
-            actual = self.process.space.peek(address, head_len)
-            expected = page_head(expected_name, index)
-            if actual != expected and not actual.startswith(WRITE_MARKER):
-                self.mismatches.append((index, expected, actual))
-            if write:
-                self.process.space.poke(address, WRITE_MARKER)
+            yield from reference(
+                host.kernel, self.process, self.spec.name, index, write,
+                True, self.mismatches,
+            )
         self.served += 1
         if router is not None:
             router.complete(request)

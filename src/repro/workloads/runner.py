@@ -1,10 +1,13 @@
 """Remote execution: replay a reference trace through the kernel.
 
-The body interleaves CPU time with memory references.  Every real
-reference verifies page contents against the deterministic pattern the
-source wrote — the end-to-end proof that copy-on-reference migration
-delivered the right bytes — and every write stamps a marker (breaking
-copy-on-write sharing where it exists).
+The body interleaves CPU time with memory references.  Every reference
+to a page that holds workload data verifies its contents against the
+deterministic pattern the source wrote — the end-to-end proof that
+copy-on-reference migration delivered the right bytes — and every write
+stamps a marker (breaking copy-on-write sharing where it exists).
+:func:`cpu_slice` and :func:`reference` are the step every workload
+body is built from: this trace replay, the cluster's managed job and
+the serving job.
 """
 
 from repro.accent.constants import PAGE_SIZE
@@ -19,8 +22,6 @@ class RemoteRunResult:
         self.steps_executed = 0
         #: (page_index, expected_head, actual_head) for corrupt pages.
         self.mismatches = []
-        self.started_at = None
-        self.finished_at = None
 
     def __repr__(self):
         return (
@@ -33,11 +34,36 @@ class RemoteRunResult:
         """True when every referenced page held the expected bytes."""
         return self.steps_executed > 0 and not self.mismatches
 
-    @property
-    def elapsed_s(self):
-        if self.started_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
+
+def cpu_slice(host, seconds):
+    """Generator: compute for ``seconds`` on ``host``'s CPU (co-located
+    processes queue for it; uncontended it is a pure timeout)."""
+    if seconds > 0:
+        with host.cpu.held() as grant:
+            yield grant
+            yield host.engine.timeout(seconds)
+
+
+def reference(kernel, process, name, index, write, verify, mismatches):
+    """Generator: touch page ``index`` of ``process``, verify, stamp.
+
+    With ``verify`` the page must hold workload ``name``'s
+    ``page_head`` or the exact ``written_head`` a write stamps; any
+    other head lands in ``mismatches`` as ``(index, expected, actual)``.
+    Verification schedules no event.
+    """
+    cost = kernel.touch(process, index, write=write)
+    if cost is not None:
+        yield from cost
+    space = process.space
+    address = index * PAGE_SIZE
+    if verify:
+        expected = page_head(name, index)
+        actual = space.peek(address, len(expected))
+        if actual != expected and actual != written_head(name, index):
+            mismatches.append((index, expected, actual))
+    if write:
+        space.poke(address, WRITE_MARKER)
 
 
 def remote_body(host, process, trace, result, terminate=True):
@@ -47,42 +73,14 @@ def remote_body(host, process, trace, result, terminate=True):
     (sending Imaginary Segment Death to any remaining backers) unless
     ``terminate`` is False.
     """
-    engine = host.engine
     kernel = host.kernel
-    space = process.space
-    expected_name = process.blueprint or result.workload_name
-    head_len = len(page_head(expected_name, 0))
-    result.started_at = engine.now
-
-    compute_slice = trace.compute_slice_s
+    name = process.blueprint or result.workload_name
     for step in trace.steps:
-        if compute_slice > 0:
-            # Compute runs on the host CPU; with co-located processes
-            # the queueing delay is real (uncontended: pure timeout).
-            with host.cpu.held() as grant:
-                yield grant
-                yield engine.timeout(compute_slice)
-        cost = kernel.touch(process, step.page_index, write=step.write)
-        if cost is not None:
-            yield from cost
-        address = step.page_index * PAGE_SIZE
-        if step.kind in ("real", "revisit"):
-            actual = space.peek(address, head_len)
-            expected = page_head(expected_name, step.page_index)
-            if actual != expected:
-                # A revisited page may legitimately carry the marker an
-                # earlier write step stamped on it.
-                if not (
-                    step.kind == "revisit"
-                    and actual == written_head(expected_name, step.page_index)
-                ):
-                    result.mismatches.append(
-                        (step.page_index, expected, actual)
-                    )
-        if step.write:
-            space.poke(address, WRITE_MARKER)
+        yield from cpu_slice(host, trace.compute_slice_s)
+        yield from reference(
+            kernel, process, name, step.page_index, step.write,
+            step.kind != "zero", result.mismatches,
+        )
         result.steps_executed += 1
-
-    result.finished_at = engine.now
     if terminate:
         yield from kernel.terminate(process.name)

@@ -104,22 +104,7 @@ def _serving_job():
 
 @pytest.mark.parametrize(
     "body",
-    [
-        _remote_body,
-        pytest.param(
-            _managed_job,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="skips revisits; accepts any marker-prefixed page",
-            ),
-        ),
-        pytest.param(
-            _serving_job,
-            marks=pytest.mark.xfail(
-                strict=True, reason="accepts any marker-prefixed page"
-            ),
-        ),
-    ],
+    [_remote_body, _managed_job, _serving_job],
     ids=["remote_body", "ManagedJob", "ServingJob"],
 )
 def test_body_flags_exactly_the_tampered_page(body):
