@@ -419,12 +419,6 @@ class MigrationResult(TrialResult):
         """Table 4-3's bracketed number."""
         return self.pages_transferred * PAGE_SIZE / self.spec.total_bytes
 
-    @property
-    def ok(self):
-        """Page verification alone: a trial killed after the steps it
-        executed verified still counts."""
-        return bool(self.verified)
-
     def to_dict(self):
         data = super().to_dict()
         data["options"] = {

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.matrix import TrialMatrix
+from repro.faults import FaultPlan
 from repro.testbed import Testbed
 
 
@@ -44,6 +45,15 @@ def test_migration_result_phase_arithmetic(matrix):
         + result.insert_s
         + result.exec_s
     ) - 1e-6
+
+
+def test_killed_migration_is_not_ok_even_when_its_pages_verified():
+    """``migrate`` shares the trial verdict: completed and verified."""
+    plan = FaultPlan.from_dict({"crashes": [{"host": "alpha", "at": 3.0}]})
+    result = Testbed(faults=plan).migrate("minprog")
+    assert result.outcome == "killed"
+    assert result.verified
+    assert not result.ok
 
 
 def test_missing_mark_returns_none():

@@ -33,6 +33,7 @@ EXAMPLES = os.path.join(
 #: Input files every case finds in its directory.
 FIXTURES = {
     "crash-alpha.json": '{"crashes": [{"host": "alpha", "at": 2.0}]}',
+    "crash-alpha-late.json": '{"crashes": [{"host": "alpha", "at": 3.0}]}',
     "crash-node0.json":
         '{"crashes": [{"host": "node0", "at": 12.0, "recover_at": 20.0}]}',
     "crash-node00.json": '{"crashes": [{"host": "node00", "at": 8.0}]}',
@@ -96,6 +97,10 @@ def _cases():
         ]],
         "migrate-crash-alpha": [[
             "migrate", "minprog", "--faults", "crash-alpha.json",
+            "--json", "out.json",
+        ]],
+        "migrate-crash-alpha-late": [[
+            "migrate", "minprog", "--faults", "crash-alpha-late.json",
             "--json", "out.json",
         ]],
         "balance-inflight-2": [
