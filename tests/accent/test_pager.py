@@ -13,6 +13,8 @@ from repro.accent.vm.address_space import AddressSpace, Residency
 from repro.accent.vm.page import Page
 from repro.cor.backer import BackingServer
 from repro.cor.imaginary import ImaginaryHandle
+from repro.faults import FaultPlan
+from repro.testbed import Testbed
 from repro.workloads.content import page_payload
 
 
@@ -220,3 +222,31 @@ def test_reply_part_landing_mid_install_is_not_waited_for_twice(world):
         b"\x01", b"\x02", b"\x03"
     ]
     assert space.entry(3).prefetched
+
+
+def _post_unmatched_reply(world):
+    host = world.source
+    host.kernel.post(Message(
+        dest=host.pager.reply_port, op=OP_IMAG_READ_REPLY,
+        sections=[InlineSection(bytes(4))], meta={"fault_id": "no-such"},
+    ))
+    world.engine.run()
+    return host
+
+
+def test_unmatched_reply_is_a_protocol_error_on_a_perfect_net(world):
+    with pytest.raises(PagerError, match="unmatched imaginary reply"):
+        _post_unmatched_reply(world)
+
+
+def test_unmatched_reply_counts_as_stale_under_a_fault_plan():
+    """With faults on, a reply can outlast its request's deadline: the
+    reply loop counts it and keeps serving."""
+    world = Testbed(seed=42, faults=FaultPlan.from_dict({})).world()
+    host = _post_unmatched_reply(world)
+    stale = world.obs.registry.counter(
+        "stale_replies_total", labels=("host",)
+    )
+    assert stale.value(host=host.name) == 1
+    _post_unmatched_reply(world)
+    assert stale.value(host=host.name) == 2

@@ -640,6 +640,31 @@ def test_diff_reports_strategy_change(tmp_path):
     ) == row["duration_delta_s"]
 
 
+def test_diff_lists_unmatched_migrations(tmp_path):
+    """A chain's second hop has no partner in a two-host trial."""
+    import json
+
+    chain = tmp_path / "chain.json"
+    single = tmp_path / "migrate.json"
+    report = tmp_path / "diff.json"
+    assert run_cli(["chain", "minprog", "--trace", str(chain)])[0] == 0
+    assert run_cli(["migrate", "minprog", "--trace", str(single)])[0] == 0
+    hop = "minprog beta→gamma (pure-iou) trace=t2"
+    code, text = run_cli(
+        ["diff", str(chain), str(single), "--json", str(report)]
+    )
+    assert code == 1
+    assert f"  only in A:\n    {hop}\n" in text
+    assert "only in B" not in text
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["unmatched_a"] == [hop]
+    assert payload["unmatched_b"] == []
+    assert not payload["zero"]
+    code, text = run_cli(["diff", str(single), str(chain)])
+    assert code == 1
+    assert f"  only in B:\n    {hop}\n" in text
+
+
 def test_diff_incompatible_traces_fail_cleanly(tmp_path):
     code, text = run_cli(
         ["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
