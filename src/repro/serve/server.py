@@ -109,7 +109,7 @@ class ServingJob(MigratableJob):
                 return "paused"
             if not self._inbox:
                 if self._shutdown:
-                    return None
+                    return
                 self._wake = self.world.engine.event()
                 yield self._wake
                 self._wake = None

@@ -7,6 +7,7 @@ while the tests run is recorded, and the terminal summary lists, per
 file, the function-body lines no test executed.  It never fails a run.
 """
 
+import inspect
 import os
 import sys
 import threading
@@ -19,21 +20,23 @@ def pytest_addoption(parser):
     )
 
 
-def pytest_configure(config):
-    root = config.getoption("linecov")
+def pytest_load_initial_conftests(early_config, parser, args):
+    # Before the conftests load, so import-time calls are traced too.
+    root = early_config.known_args_namespace.linecov
     if root:
-        config.pluginmanager.register(LineCoverage(root), "linecov")
+        early_config.pluginmanager.register(LineCoverage(root), "linecov")
 
 
 def function_lines(path):
-    """Line numbers of every function body in the file at ``path``."""
+    """Line numbers of every function body in the file at ``path``
+    (class and module bodies run at import, so they are left out)."""
     with open(path, encoding="utf-8") as handle:
         pending = [compile(handle.read(), path, "exec")]
     lines = set()
     while pending:
         code = pending.pop()
         pending.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-        if code.co_name != "<module>":
+        if code.co_flags & inspect.CO_OPTIMIZED:
             lines.update(line for _, _, line in code.co_lines() if line)
             lines.discard(code.co_firstlineno)
     return lines
@@ -55,6 +58,8 @@ class LineCoverage:
         self.root = os.path.realpath(root) + os.sep
         self.hits = set()
         self._inside = {}
+        threading.settrace(self._call)
+        sys.settrace(self._call)
 
     def _call(self, frame, event, arg):
         filename = frame.f_code.co_filename
@@ -69,10 +74,6 @@ class LineCoverage:
         if event == "line":
             self.hits.add((frame.f_code.co_filename, frame.f_lineno))
         return self._line
-
-    def pytest_sessionstart(self, session):
-        threading.settrace(self._call)
-        sys.settrace(self._call)
 
     def pytest_terminal_summary(self, terminalreporter):
         sys.settrace(None)
