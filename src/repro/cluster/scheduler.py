@@ -65,7 +65,8 @@ class MigrationTicket:
         self.outcome = None
         #: Human-readable cause when not "completed".
         self.reason = None
-        #: The re-incarnated process at the destination ("completed").
+        #: The re-incarnated process at the destination ("completed"),
+        #: until a job's ``settle`` takes it.
         self.inserted = None
         #: Fires with this ticket once the move reaches a terminal state.
         self.done = engine.event()

@@ -26,8 +26,10 @@ class MigratableJob:
     """
 
     def __init__(self, world, built, name=None):
+        # ``built`` is read here and in subclass constructors only: a
+        # job holds its live process, and keeping the build would pin
+        # the pre-migration process and its address space for the run.
         self.world = world
-        self.built = built
         self.spec = built.spec
         self.name = name or built.process.name
         self.process = built.process
@@ -94,16 +96,20 @@ class MigratableJob:
     def settle(self, ticket):
         """Pick the job up once its move ``ticket`` is terminal.
 
-        A completed move resumes the job at the destination.  An
-        aborted one was rolled back: the kernel reinserted the process
-        at the source, where the job keeps running.  Returns the host
-        the job now runs on, or None when it runs nowhere.
+        A completed move resumes the job at the destination in the
+        ticket's inserted process, which the job takes: the ticket
+        stays a record of the move and stops referring to the process,
+        so a later move frees it.  An aborted move was rolled back: the
+        kernel reinserted the process at the source, where the job
+        keeps running.  Returns the host the job now runs on, or None
+        when it runs nowhere.
         """
         self.migrating = False
         world = self.world
         if ticket.outcome == "completed":
             host = world.host(ticket.dest)
-            self.resume_as(ticket.inserted, host)
+            process, ticket.inserted = ticket.inserted, None
+            self.resume_as(process, host)
             return host
         if ticket.outcome == "aborted" and not self.ended:
             host = world.host(ticket.source)

@@ -1,6 +1,6 @@
 """Instrumentation: counters, timelines and report formatting."""
 
-from repro.metrics.collector import LinkRecord, MetricsCollector
+from repro.metrics.collector import LinkLog, LinkRecord, MetricsCollector
 from repro.metrics.timeline import Timeline
 
-__all__ = ["LinkRecord", "MetricsCollector", "Timeline"]
+__all__ = ["LinkLog", "LinkRecord", "MetricsCollector", "Timeline"]

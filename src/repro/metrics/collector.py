@@ -12,13 +12,78 @@ they are the collector's API, read by the testbed's and the stress and
 serving harnesses' result classes.
 """
 
+from array import array
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 
 from repro.obs import Instrumentation
 from repro.obs import _UNSET
 
 LinkRecord = namedtuple("LinkRecord", "time bytes category source dest")
 LinkRecord.__doc__ = "One fragment on the wire at a simulated instant."
+
+
+class LinkLog(Sequence):
+    """Every fragment on the wire, in time order, stored by column.
+
+    A :class:`~collections.abc.Sequence` of :class:`LinkRecord` that
+    builds each record on demand (``len``, iteration, indexing).  Times
+    and byte counts are packed arrays, and each fragment's
+    ``(category, source, dest)`` route is an index into a table that
+    holds each distinct route once: about 20 bytes a fragment, where a
+    list of records costs about 156.  Only :meth:`append` changes it.
+    """
+
+    __slots__ = ("times", "nbytes", "route_ids", "routes", "_route_index")
+
+    def __init__(self, records=()):
+        #: Simulated send times, one per fragment.
+        self.times = array("d")
+        #: Wire bytes, one per fragment.
+        self.nbytes = array("q")
+        #: Each fragment's index into :attr:`routes`.
+        self.route_ids = array("I")
+        #: Distinct ``(category, source, dest)`` triples, first seen first.
+        self.routes = []
+        self._route_index = {}
+        for record in records:
+            self.append(*record)
+
+    def append(self, time, nbytes, category, source, dest):
+        """Log one fragment."""
+        key = (category, source, dest)
+        route = self._route_index.get(key)
+        if route is None:
+            route = self._route_index[key] = len(self.routes)
+            self.routes.append(key)
+        self.times.append(time)
+        self.nbytes.append(nbytes)
+        self.route_ids.append(route)
+
+    def copy(self):
+        """An independent snapshot: later appends to either do not
+        show in the other."""
+        clone = LinkLog()
+        clone.times = self.times[:]
+        clone.nbytes = self.nbytes[:]
+        clone.route_ids = self.route_ids[:]
+        clone.routes = list(self.routes)
+        clone._route_index = dict(self._route_index)
+        return clone
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, index):
+        return LinkRecord(
+            self.times[index], self.nbytes[index],
+            *self.routes[self.route_ids[index]],
+        )
+
+    def __iter__(self):
+        routes = self.routes
+        for time, nbytes, route in zip(self.times, self.nbytes, self.route_ids):
+            yield LinkRecord(time, nbytes, *routes[route])
 
 
 class MetricsCollector:
@@ -50,8 +115,8 @@ class MetricsCollector:
         self._imag_fault = registry.histogram("imag_fault_seconds")
         #: Wire round trip alone: request sent to reply received.
         self._imag_rtt = registry.histogram("imag_rtt_seconds")
-        #: Every fragment transmitted, in time order.
-        self.link_records = []
+        #: Every fragment transmitted, in time order (a :class:`LinkLog`).
+        self.link_records = LinkLog()
         #: Named phase marks: name -> simulated time.
         self.marks = {}
         # category -> (bytes child, fragments child): the per-fragment
@@ -71,7 +136,7 @@ class MetricsCollector:
         context's active phase.
         """
         self.link_records.append(
-            LinkRecord(self.engine.now, nbytes, category, source, dest)
+            self.engine.now, nbytes, category, source, dest
         )
         children = self._link_children.get(category)
         if children is None:

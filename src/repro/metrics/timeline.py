@@ -7,6 +7,8 @@ from everything else (black).
 
 from collections import namedtuple
 
+from repro.metrics.collector import LinkLog, MetricsCollector
+
 TimelineBin = namedtuple("TimelineBin", "start end fault_bytes other_bytes")
 TimelineBin.__doc__ = "Bytes transferred during [start, end), split by purpose."
 
@@ -18,8 +20,6 @@ class Timeline:
         if bin_seconds <= 0:
             raise ValueError("bin_seconds must be positive")
         self.bin_seconds = bin_seconds
-        from repro.metrics.collector import MetricsCollector
-
         self.fault_categories = (
             frozenset(fault_categories)
             if fault_categories is not None
@@ -29,27 +29,37 @@ class Timeline:
     def bins(self, link_records, start=None, end=None):
         """Aggregate records into :class:`TimelineBin` rows.
 
+        ``link_records`` is a :class:`~repro.metrics.LinkLog`, read by
+        column, or any iterable of :class:`~repro.metrics.LinkRecord`.
         Empty bins inside the interval are emitted (rate zero), so the
         series plots without gaps.
         """
-        records = list(link_records)
-        if not records and (start is None or end is None):
+        log = (
+            link_records if isinstance(link_records, LinkLog)
+            else LinkLog(link_records)
+        )
+        times = log.times
+        if not times and (start is None or end is None):
             return []
-        t0 = start if start is not None else records[0].time
-        t1 = end if end is not None else records[-1].time
+        t0 = start if start is not None else times[0]
+        t1 = end if end is not None else times[-1]
         if t1 < t0:
             raise ValueError(f"end {t1} before start {t0}")
         count = max(1, int((t1 - t0) / self.bin_seconds) + 1)
         fault = [0] * count
         other = [0] * count
-        for record in records:
-            if record.time < t0 or record.time > t1:
+        is_fault = [
+            category in self.fault_categories
+            for category, _, _ in log.routes
+        ]
+        for time, nbytes, route in zip(times, log.nbytes, log.route_ids):
+            if time < t0 or time > t1:
                 continue
-            index = min(int((record.time - t0) / self.bin_seconds), count - 1)
-            if record.category in self.fault_categories:
-                fault[index] += record.bytes
+            index = min(int((time - t0) / self.bin_seconds), count - 1)
+            if is_fault[route]:
+                fault[index] += nbytes
             else:
-                other[index] += record.bytes
+                other[index] += nbytes
         return [
             TimelineBin(
                 t0 + i * self.bin_seconds,

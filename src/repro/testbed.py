@@ -351,7 +351,8 @@ class MigrationResult(TrialResult):
         super().__init__(trial)
         world = trial.world
         metrics = world.metrics
-        self.link_records = list(metrics.link_records)
+        #: The trial's fragments, a :class:`~repro.metrics.LinkLog` copy.
+        self.link_records = metrics.link_records.copy()
         self.bytes_fault_support = metrics.fault_support_bytes
         self.messages_total = metrics.total_messages
         self.pages_bulk = world.source.nms.pages_shipped_by_op.get(

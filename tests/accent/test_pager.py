@@ -189,6 +189,32 @@ def test_origin_miss_reply_raises_pager_error(world, shape):
         run(world, host.pager.imaginary_fault(space, 1, space.region_at(0)))
 
 
+def test_reply_omitting_the_demanded_page_raises_pager_error(world):
+    """A reply that lands pages but not the one demanded leaves the
+    fault unresolved: a protocol error naming the missing page."""
+    host = world.source
+    port = host.create_port(name="stub-origin")
+
+    def stub_origin():
+        request = yield port.receive()
+        host.kernel.post(Message(
+            dest=request.reply_port, op=OP_IMAG_READ_REPLY,
+            sections=[RegionSection({2: Page(b"\x02")})],
+            meta={"fault_id": request.meta["fault_id"]},
+        ))
+
+    world.engine.process(stub_origin())
+    space = AddressSpace(name="omitted")
+    space.map_imaginary(0, 4 * PAGE_SIZE, ImaginaryHandle(99, port))
+    host.register_space(space)
+    with pytest.raises(
+        PagerError, match=r"reply omitted demanded pages \[1\]"
+    ):
+        run(world, host.pager.imaginary_fault(space, 1, space.region_at(0)))
+    assert space.entry(1) is None
+    assert space.entry(2).prefetched
+
+
 def test_reply_part_landing_mid_install_is_not_waited_for_twice(world):
     """A batched reply part that lands while an earlier part installs
     fires the stream's wake-up with nobody waiting.  The fetch takes

@@ -283,6 +283,38 @@ def test_analyze_writes_json_report(tmp_path):
     assert run["fault_lifecycle"]["stages"]["request"]["p50"] > 0
 
 
+def test_analyze_summarises_slo_violations(tmp_path):
+    """A freeze objective no migration can meet opens one violation,
+    which recovers once the window holds no freeze."""
+    import json
+
+    slo = tmp_path / "slo.json"
+    slo.write_text(json.dumps({"slos": [{
+        "name": "freeze-p99", "metric": "migration.freeze",
+        "objective": "p99", "threshold": 0.01,
+    }]}), encoding="utf-8")
+    trace = tmp_path / "stress.json"
+    report = tmp_path / "analysis.json"
+    code, _ = run_cli(["stress", "--hosts", "4", "--procs", "8",
+                       "--seed", "7", "--slo", str(slo),
+                       "--trace", str(trace)])
+    assert code == 0
+    code, text = run_cli(["analyze", str(trace), "--json", str(report)])
+    assert code == 0
+    assert "SLO violations: 1" in text
+    (line,) = [row for row in text.splitlines() if "peak burn" in row]
+    assert line.split()[0] == "freeze-p99"
+    assert line.endswith("recovered)")
+    (run,) = json.loads(report.read_text(encoding="utf-8"))["runs"]
+    (violation,) = run["slo_violations"]
+    assert violation["slo"] == "freeze-p99"
+    assert violation["metric"] == "migration.freeze"
+    assert violation["objective"] == "p99"
+    assert violation["threshold"] == 0.01
+    assert violation["recovered"] is True
+    assert violation["duration_s"] == violation["end"] - violation["start"] > 0
+
+
 def test_analyze_missing_file_fails_cleanly(tmp_path):
     code, text = run_cli(["analyze", str(tmp_path / "nope.json")])
     assert code == 2
