@@ -6,11 +6,14 @@ how.  Usage::
 
     PYTHONPATH=src python -m benchmarks.gate cluster_scale
     PYTHONPATH=src python -m benchmarks.gate same A.json B.json
+    python -m benchmarks.gate suite SUITE.json
 
 The first form runs the bench, overwrites its artifact with the fresh
 run, prints a markdown summary to stdout and exits 1 with one line per
 broken rule on stderr.  The second compares two run outputs
 (``repro ... --json``) after dropping their volatile ``host`` block.
+The third prints, and never gates, the host end-to-end table of one
+``python -m benchmarks.suite --json SUITE.json`` run.
 """
 
 import importlib
@@ -28,6 +31,8 @@ SCALE = {"rise": 1 + TOLERANCE, "fall": 1 - TOLERANCE}
 HOST_TIME = "wall_s"
 OPS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt,
        "<": operator.lt}
+#: The suite's host-side end-to-end metrics, one column each.
+SUITE_COLUMNS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
 def load(path):
@@ -197,16 +202,32 @@ def same(path_a, path_b):
     ]
 
 
+def suite_table(path):
+    """Markdown: one row per workload of a suite ``--json`` output."""
+    lines = ["### Benchmark suite, end to end", "",
+             "| workload | " + " | ".join(SUITE_COLUMNS) + " |",
+             "| --- |" + " --- |" * len(SUITE_COLUMNS)]
+    for name, result in load(path)["summaries"].items():
+        metrics = result["metrics"]
+        cells = [fmt(metrics.get(column)) for column in SUITE_COLUMNS]
+        lines.append(f"| {name} | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 def main(argv=None):
-    """CLI entry: ``<bench>`` or ``same A.json B.json``; 0 ok, 1 broken."""
+    """CLI entry: ``<bench>``, ``same A.json B.json`` or ``suite
+    SUITE.json``; 0 ok, 1 broken."""
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 3 and args[0] == "same":
         failures = same(args[1], args[2])
-    elif len(args) == 1 and args[0] != "same":
+    elif len(args) == 2 and args[0] == "suite":
+        print(suite_table(args[1]))
+        failures = []
+    elif len(args) == 1 and args[0] not in ("same", "suite"):
         failures = run(args[0])
     else:
-        print("usage: python -m benchmarks.gate BENCH | same A.json B.json",
-              file=sys.stderr)
+        print("usage: python -m benchmarks.gate BENCH | same A.json B.json"
+              " | suite SUITE.json", file=sys.stderr)
         return 2
     for line in failures:
         print(line, file=sys.stderr)

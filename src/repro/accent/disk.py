@@ -16,13 +16,15 @@ class PagingDisk:
         self.calibration = calibration
         self.name = name
         self.arm = Resource(engine, capacity=1, name=f"{name}-arm")
-        #: (space_id, page_index) -> Page
+        #: space_id -> {page_index: Page}: one inner dict per space, so
+        #: an image costs no tuple key and a space drops in one pop.
         self._store = {}
         self.reads = 0
         self.writes = 0
 
     def __repr__(self):
-        return f"<PagingDisk {self.name} pages={len(self._store)}>"
+        pages = sum(len(images) for images in self._store.values())
+        return f"<PagingDisk {self.name} pages={pages}>"
 
     def store_instant(self, space_id, page_index, page):
         """Place a page on disk without simulated time (builder path).
@@ -31,11 +33,11 @@ class PagingDisk:
         workload's non-resident pages; the disk time for having written
         them happened before the measurement interval begins.
         """
-        self._store[(space_id, page_index)] = page
+        self._store.setdefault(space_id, {})[page_index] = page
 
     def holds(self, space_id, page_index):
         """Whether a page image is on this disk."""
-        return (space_id, page_index) in self._store
+        return page_index in self._store.get(space_id, ())
 
     def read(self, space_id, page_index):
         """Generator: read a page, charging disk service time."""
@@ -44,7 +46,7 @@ class PagingDisk:
             yield self.engine.timeout(self.calibration.disk_service_s)
         self.reads += 1
         try:
-            return self._store[(space_id, page_index)]
+            return self._store[space_id][page_index]
         except KeyError:
             raise DiskError(
                 f"no page image for space {space_id} page {page_index}"
@@ -56,14 +58,11 @@ class PagingDisk:
             yield req
             yield self.engine.timeout(self.calibration.disk_service_s)
         self.writes += 1
-        self._store[(space_id, page_index)] = page
+        self.store_instant(space_id, page_index, page)
 
     def drop_space(self, space_id):
         """Discard all page images of one address space."""
-        doomed = [key for key in self._store if key[0] == space_id]
-        for key in doomed:
-            del self._store[key]
-        return len(doomed)
+        return len(self._store.pop(space_id, ()))
 
 
 class DiskError(Exception):

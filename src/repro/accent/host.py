@@ -13,12 +13,16 @@ class Host:
     """A Perq workstation: kernel, pager, disk, frames, and (once the
     network layer attaches one) a NetMsgServer."""
 
-    def __init__(self, engine, name, calibration, registry, metrics):
+    def __init__(self, engine, name, calibration, registry, metrics,
+                 written_pages):
         self.engine = engine
         self.name = name
         self.calibration = calibration
         self.registry = registry
         self.metrics = metrics
+        #: The world's shared stamped page contents
+        #: (:class:`~repro.workloads.content.WrittenPages`).
+        self.written_pages = written_pages
         self.physical = PhysicalMemory(calibration.frame_count)
         self.disk = PagingDisk(engine, calibration, name=f"{name}-disk")
         #: The user-level CPU: workload compute slices contend here, so
@@ -89,7 +93,7 @@ class Host:
         time.  Raises if the frame pool would need an eviction (builders
         should size the pool or place pages on disk explicitly).
         """
-        victim = self.physical.allocate((space.space_id, index))
+        victim = self.physical.allocate(space.space_id, index)
         if victim is not None:
             raise RuntimeError(
                 "builder overfilled physical memory; place pages on disk"
@@ -100,5 +104,5 @@ class Host:
         """Builder path: push an existing page's image to the local disk."""
         entry = space.entry(index)
         self.disk.store_instant(space.space_id, index, entry.page)
-        self.physical.evict((space.space_id, index))
+        self.physical.evict(space.space_id, index)
         space.set_residency(index, Residency.ON_DISK)

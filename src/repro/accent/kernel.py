@@ -107,7 +107,7 @@ class Kernel:
         space = process.space
         entry = space.page_table.get(page_index)
         if entry is not None and entry.residency is Residency.RESIDENT:
-            self.host.physical.touch((space.space_id, page_index))
+            self.host.physical.touch(space.space_id, page_index)
             entry.last_touch = self.engine._now
             if entry.prefetched:
                 entry.prefetched = False
@@ -286,9 +286,7 @@ class Kernel:
         process.status = ProcessStatus.EXCISED
         process.host = None
         del self.processes[process.name]
-        self.host.physical.release_space(space.space_id)
-        self.host.disk.drop_space(space.space_id)
-        self.host.unregister_space(space)
+        self._discard_space(space)
         return core, rimas
 
     @staticmethod
@@ -431,7 +429,7 @@ class Kernel:
         a tiny pool is configured the victim is moved to disk instantly
         (insertion cost is already charged as a lump by insert_s).
         """
-        victim = self.host.physical.allocate((space.space_id, index))
+        victim = self.host.physical.allocate(space.space_id, index)
         if victim is not None:
             victim_space_id, victim_index = victim
             victim_space = self.host.space_by_id(victim_space_id)
@@ -443,6 +441,13 @@ class Kernel:
         space.install_page(index, page, Residency.RESIDENT)
 
     # -- termination -----------------------------------------------------------
+    def _discard_space(self, space):
+        """Free a departing space's frames and disk images and forget it
+        (excise, terminate and kill)."""
+        self.host.physical.release_space(space.space_id, space.page_table)
+        self.host.disk.drop_space(space.space_id)
+        self.host.unregister_space(space)
+
     def terminate(self, name):
         """Generator: end a process, notifying imaginary backers.
 
@@ -467,9 +472,7 @@ class Kernel:
         process.status = ProcessStatus.TERMINATED
         process.host = None
         del self.processes[name]
-        self.host.physical.release_space(space.space_id)
-        self.host.disk.drop_space(space.space_id)
-        self.host.unregister_space(space)
+        self._discard_space(space)
         yield self.engine.timeout(self.calibration.ipc_local_s)
 
     def kill(self, process):
@@ -483,7 +486,4 @@ class Kernel:
         process.status = ProcessStatus.KILLED
         process.host = None
         self.processes.pop(process.name, None)
-        space = process.space
-        self.host.physical.release_space(space.space_id)
-        self.host.disk.drop_space(space.space_id)
-        self.host.unregister_space(space)
+        self._discard_space(process.space)

@@ -583,7 +583,7 @@ class Pager:
         space.set_residency(index, Residency.RESIDENT)
 
     def _claim_frame(self, space, index):
-        victim = self.host.physical.allocate((space.space_id, index))
+        victim = self.host.physical.allocate(space.space_id, index)
         if victim is not None:
             victim_space_id, victim_index = victim
             victim_space = self.host.space_by_id(victim_space_id)

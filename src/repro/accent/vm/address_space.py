@@ -255,10 +255,9 @@ class AddressSpace:
         and by fault handlers to install fetched data; the simulated cost
         of getting here is charged by the kernel/pager, not by poke.
         """
-        # Fast path: a write to an existing page, entirely inside it —
-        # the workload step loop stamps a short marker this way on every
-        # write step, so skip the accessibility classification (a real
-        # page is REAL_MEM by definition).
+        # Fast path: a write to an existing page, entirely inside it,
+        # skips the accessibility classification (a real page is
+        # REAL_MEM by definition).
         index, in_page = divmod(address, PAGE_SIZE)
         if in_page + len(data) <= PAGE_SIZE:
             entry = self.page_table.get(index)

@@ -87,14 +87,18 @@ class Page:
             raise ValueError(
                 f"write of {len(data)} bytes at offset {offset} exceeds page"
             )
-        target = self
+        return self.replace(
+            self._data[:offset] + bytes(data) + self._data[offset + len(data):]
+        )
+
+    def replace(self, data):
+        """Make ``data`` (a full page of immutable bytes) the contents;
+        returns the page to keep using, copy-on-write as :meth:`write`."""
         if self.shared:
             self.refs -= 1
-            target = Page(self._data)
-        target._data = (
-            target._data[:offset] + bytes(data) + target._data[offset + len(data):]
-        )
-        return target
+            return Page(data)
+        self._data = data
+        return self
 
     def fork_copy(self):
         """An independent deep copy (used by physical shipment)."""

@@ -9,26 +9,39 @@ the RS migration strategy.
 
 from collections import OrderedDict
 
+# A frame's key packs (space id, page index) into one int: a page index
+# is below SPACE_PAGES (2**23), so 32 bits hold it.  One int per frame
+# costs far less than a tuple of two.
+_SHIFT = 32
+_INDEX_MASK = (1 << _SHIFT) - 1
+
 
 class OutOfFrames(Exception):
     """Raised when a frame is needed and no victim can be chosen."""
 
 
 class PhysicalMemory:
-    """A pool of page frames identified by (address-space id, page index)."""
+    """A pool of page frames identified by (address-space id, page index).
+
+    One LRU order spans every space on the host, because the resident
+    set's recency is defined across spaces.  Methods take the space id
+    and page index as two arguments; victims and :meth:`resident_keys`
+    are ``(space_id, page_index)`` pairs.
+    """
 
     def __init__(self, frame_count):
         if frame_count <= 0:
             raise ValueError(f"frame_count must be positive, got {frame_count}")
         self.frame_count = frame_count
-        # key -> None; ordering is LRU (oldest first).
+        # packed key -> None; ordering is LRU (oldest first).
         self._lru = OrderedDict()
 
     def __repr__(self):
         return f"<PhysicalMemory {len(self._lru)}/{self.frame_count} frames>"
 
-    def __contains__(self, key):
-        return key in self._lru
+    def __contains__(self, pair):
+        space_id, page_index = pair
+        return (space_id << _SHIFT | page_index) in self._lru
 
     @property
     def used(self):
@@ -40,43 +53,59 @@ class PhysicalMemory:
         """Number of unoccupied frames."""
         return self.frame_count - len(self._lru)
 
-    def touch(self, key):
-        """Record a reference, moving ``key`` to most-recently-used."""
-        if key not in self._lru:
-            raise KeyError(f"{key!r} is not resident")
-        self._lru.move_to_end(key)
+    def touch(self, space_id, page_index):
+        """Record a reference, moving the page to most-recently-used."""
+        try:
+            self._lru.move_to_end(space_id << _SHIFT | page_index)
+        except KeyError:
+            raise KeyError(f"{(space_id, page_index)!r} is not resident") from None
 
-    def allocate(self, key):
-        """Claim a frame for ``key``; returns an evicted key or ``None``.
+    def allocate(self, space_id, page_index):
+        """Claim a frame for a page; returns the evicted
+        ``(space_id, page_index)`` or ``None``.
 
         The caller is responsible for paging the victim's contents out
         (the pager charges the disk-write time).
         """
-        if key in self._lru:
-            self._lru.move_to_end(key)
+        key = space_id << _SHIFT | page_index
+        lru = self._lru
+        if key in lru:
+            lru.move_to_end(key)
             return None
         victim = None
-        if len(self._lru) >= self.frame_count:
+        if len(lru) >= self.frame_count:
             try:
-                victim, _ = self._lru.popitem(last=False)
+                packed, _ = lru.popitem(last=False)
             except KeyError:  # pragma: no cover - guarded by frame_count > 0
                 raise OutOfFrames("no frames and no victims") from None
-        self._lru[key] = None
+            victim = (packed >> _SHIFT, packed & _INDEX_MASK)
+        lru[key] = None
         return victim
 
-    def evict(self, key):
-        """Explicitly release the frame held by ``key`` (if any)."""
-        self._lru.pop(key, None)
+    def evict(self, space_id, page_index):
+        """Explicitly release the frame held by a page (if any)."""
+        self._lru.pop(space_id << _SHIFT | page_index, None)
 
-    def release_space(self, space_id):
-        """Release every frame belonging to one address space."""
-        doomed = [key for key in self._lru if key[0] == space_id]
-        for key in doomed:
-            del self._lru[key]
-        return len(doomed)
+    def release_space(self, space_id, page_indices):
+        """Release the frames ``page_indices`` of one address space hold.
+
+        The cost is the indices given, not the host's frames; the
+        kernel passes the space's page table (every frame belongs to a
+        real page).  Returns the frames released.
+        """
+        base = space_id << _SHIFT
+        lru = self._lru
+        released = 0
+        for index in page_indices:
+            key = base | index
+            if key in lru:
+                del lru[key]
+                released += 1
+        return released
 
     def resident_keys(self, space_id=None):
-        """Keys of resident frames, LRU-oldest first."""
+        """``(space_id, page_index)`` of resident frames, LRU-oldest first."""
+        pairs = [(key >> _SHIFT, key & _INDEX_MASK) for key in self._lru]
         if space_id is None:
-            return list(self._lru)
-        return [key for key in self._lru if key[0] == space_id]
+            return pairs
+        return [pair for pair in pairs if pair[0] == space_id]

@@ -98,12 +98,6 @@ class Calibration:
     #: only; must exceed the worst-case reply retransmission time).
     imag_reply_deadline_s: float = 30.0
 
-    # -------------------------------------------- residual-dependency flush --
-    #: Owed pages pushed per flusher batch message.
-    flush_batch_pages: int = 16
-    #: Idle gap between flusher batches (paces the push rate).
-    flush_interval_s: float = 0.05
-
     # ------------------------------------------------- copy-on-reference --
     #: Backing-server lookup per Imaginary Read Request.
     backer_lookup_s: float = 4.0 * MS

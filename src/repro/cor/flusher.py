@@ -32,22 +32,14 @@ from repro.obs import causal
 class ResidualFlusher:
     """Per-host daemon: pumps owed pages out, installs pushed pages in."""
 
-    def __init__(self, host, batch_pages=None, interval_s=None):
+    def __init__(self, host, batch_pages, interval_s):
+        """Pace pushes at ``batch_pages`` pages every ``interval_s``
+        seconds, as a :class:`~repro.faults.plan.FlushConfig` (which
+        validates both) sets them."""
         self.host = host
         self.engine = host.engine
-        calibration = host.calibration
-        self.batch_pages = (
-            batch_pages if batch_pages is not None
-            else calibration.flush_batch_pages
-        )
-        self.interval_s = (
-            interval_s if interval_s is not None
-            else calibration.flush_interval_s
-        )
-        if self.batch_pages <= 0:
-            raise ValueError(f"batch_pages must be > 0, got {self.batch_pages}")
-        if self.interval_s < 0:
-            raise ValueError(f"interval_s must be >= 0, got {self.interval_s}")
+        self.batch_pages = batch_pages
+        self.interval_s = interval_s
         self.port = host.create_port(name=f"{host.name}-flusher")
         #: Pump processes started on behalf of registered segments.
         self.pumps = []
@@ -154,9 +146,8 @@ class ResidualFlusher:
             # Killed, terminated, or migrated away since registration.
             return
         space = process.space
+        # Only _pump sends here, and every push carries one region.
         region = message.first_section(RegionSection)
-        if region is None:
-            return
         for index in sorted(region.pages):
             if space.entry(index) is not None:
                 continue  # a demand fault won the race

@@ -58,7 +58,7 @@ def run_system_build(world, file_pages=2048, writes_per_stage=(0, 1, 1, 0)):
         kernel.register(process)
         for index, page in region.pages.items():
             space.install_page(index, page, Residency.RESIDENT)
-            host.physical.allocate((space.space_id, index))
+            host.physical.allocate(space.space_id, index)
         return process
 
     def stage(name, successor, writes):

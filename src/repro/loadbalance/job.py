@@ -184,7 +184,7 @@ class ManagedJob(MigratableJob):
     def __init__(self, world, built, name=None):
         super().__init__(world, built, name=name)
         self.result = RemoteRunResult(self.name)
-        self.steps = list(built.trace.steps)
+        self.steps = built.trace.steps
         self.compute_slice_s = built.trace.compute_slice_s
         self.position = 0
 

@@ -33,6 +33,7 @@ from repro.obs import RUN_META, Instrumentation
 from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD, Telemetry, check_sample_period
 from repro.sim import Engine, SeededStreams
 from repro.workloads.builder import build_process
+from repro.workloads.content import WrittenPages
 from repro.workloads.registry import workload_by_name
 from repro.workloads.runner import RemoteRunResult, remote_body
 from repro.workloads.trace import ReferenceTrace
@@ -73,12 +74,14 @@ class TestbedWorld:
         self.metrics = MetricsCollector(self.engine, obs=self.obs)
         #: One shared medium, as on the SPICE 10 Mbit Ethernet.
         self.link = Link(self.engine, calibration)
+        written_pages = WrittenPages()
         self.hosts = {}
         self.managers = {}
         servers = []
         for name in host_names:
             host = Host(
-                self.engine, name, calibration, self.registry, self.metrics
+                self.engine, name, calibration, self.registry, self.metrics,
+                written_pages,
             )
             self.hosts[name] = host
             servers.append(NetMsgServer(host))

@@ -50,7 +50,7 @@ def build_process(host, spec, streams, name=None):
         page = Page(page_payload(spec.name, index))
         if index in plan.resident:
             space.install_page(index, page, Residency.RESIDENT)
-            if host.physical.allocate((space_id, index)) is not None:
+            if host.physical.allocate(space_id, index) is not None:
                 raise RuntimeError(
                     f"{spec.name}: frame pool too small for its resident set"
                 )

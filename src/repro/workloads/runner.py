@@ -11,7 +11,7 @@ the serving job.
 """
 
 from repro.accent.constants import PAGE_SIZE
-from repro.workloads.content import WRITE_MARKER, page_head, written_head
+from repro.workloads.content import page_head, written_head
 
 
 class RemoteRunResult:
@@ -50,20 +50,26 @@ def reference(kernel, process, name, index, write, verify, mismatches):
     With ``verify`` the page must hold workload ``name``'s
     ``page_head`` or the exact ``written_head`` a write stamps; any
     other head lands in ``mismatches`` as ``(index, expected, actual)``.
-    Verification schedules no event.
+    A write stamps ``WRITE_MARKER`` over the page's start; the bytes come
+    from the world's :class:`~repro.workloads.content.WrittenPages`, so
+    equal stamped pages share one object.  Verification schedules no
+    event.
     """
     cost = kernel.touch(process, index, write=write)
     if cost is not None:
         yield from cost
     space = process.space
-    address = index * PAGE_SIZE
     if verify:
         expected = page_head(name, index)
-        actual = space.peek(address, len(expected))
+        actual = space.peek(index * PAGE_SIZE, len(expected))
         if actual != expected and actual != written_head(name, index):
             mismatches.append((index, expected, actual))
     if write:
-        space.poke(address, WRITE_MARKER)
+        entry = space.page_table[index]
+        page = entry.page
+        entry.page = page.replace(
+            kernel.host.written_pages.stamp(name, index, page.data)
+        )
 
 
 def remote_body(host, process, trace, result, terminate=True):

@@ -72,9 +72,26 @@ def test_disk_arm_serialises_requests(world):
 
 def test_drop_space_discards_only_that_space(world):
     disk = world.source.disk
+    kept = {(2, 0): Page(b"two-0"), (3, 1): Page(b"three-1")}
     disk.store_instant(1, 0, Page())
     disk.store_instant(1, 1, Page())
-    disk.store_instant(2, 0, Page())
+    for (space_id, index), page in kept.items():
+        disk.store_instant(space_id, index, page)
     assert disk.drop_space(1) == 2
-    assert not disk.holds(1, 0)
-    assert disk.holds(2, 0)
+    assert disk.drop_space(1) == 0
+    assert not disk.holds(1, 0) and not disk.holds(1, 1)
+    assert all(disk.holds(*key) for key in kept)
+
+    def reader():
+        got = {}
+        for key in kept:
+            got[key] = yield from disk.read(*key)
+        return got
+
+    assert world.engine.run(until=world.engine.process(reader())) == kept
+
+    def dropped():
+        yield from disk.read(1, 0)
+
+    with pytest.raises(DiskError):
+        world.engine.run(until=world.engine.process(dropped()))

@@ -33,7 +33,7 @@ def build_victim(world, name="victim", map_entries=10):
             host.disk.store_instant(space.space_id, index, page)
         else:
             space.install_page(index, page, Residency.RESIDENT)
-            host.physical.allocate((space.space_id, index))
+            host.physical.allocate(space.space_id, index)
     self_port = host.create_port(name=f"{name}-self")
     peer_port = host.create_port(name=f"{name}-peer")
     process = AccentProcess(

@@ -32,7 +32,7 @@ def test_make_resident_instant_claims_frame(world):
     space = make_space()
     world.source.register_space(space)
     space.install_page(0, Page(), Residency.ON_DISK)
-    world.source.physical.evict((space.space_id, 0))
+    world.source.physical.evict(space.space_id, 0)
     world.source.make_resident_instant(space, 0)
     assert space.entry(0).residency is Residency.RESIDENT
     assert (space.space_id, 0) in world.source.physical
@@ -43,7 +43,7 @@ def test_make_resident_instant_rejects_overfill(world):
     space = make_space()
     world.source.register_space(space)
     space.install_page(0, Page(), Residency.RESIDENT)
-    world.source.physical.allocate((space.space_id, 0))
+    world.source.physical.allocate(space.space_id, 0)
     space.install_page(1, Page(), Residency.ON_DISK)
     with pytest.raises(RuntimeError, match="overfilled"):
         world.source.make_resident_instant(space, 1)
@@ -53,7 +53,7 @@ def test_place_on_disk_instant_round_trip(world):
     space = make_space()
     world.source.register_space(space)
     space.install_page(0, Page(b"imaged"), Residency.RESIDENT)
-    world.source.physical.allocate((space.space_id, 0))
+    world.source.physical.allocate(space.space_id, 0)
     world.source.place_on_disk_instant(space, 0)
     assert space.entry(0).residency is Residency.ON_DISK
     assert world.source.disk.holds(space.space_id, 0)

@@ -60,7 +60,7 @@ def test_touch_resident_page_is_free(world):
     process = make_process(world.source)
     space = process.space
     space.install_page(0, Page(b"data"))
-    world.source.physical.allocate((space.space_id, 0))
+    world.source.physical.allocate(space.space_id, 0)
     assert world.source.kernel.touch(process, 0) is None
     assert world.engine.now == 0.0
 
@@ -98,7 +98,7 @@ def test_write_touch_on_shared_page_breaks_cow(world):
     page = Page(b"shared")
     page.share()  # simulate another mapping
     space.install_page(0, page)
-    world.source.physical.allocate((space.space_id, 0))
+    world.source.physical.allocate(space.space_id, 0)
     cost = world.source.kernel.touch(process, 0, write=True)
     assert cost is not None
     run(world, cost)
@@ -111,7 +111,7 @@ def test_read_touch_on_shared_page_no_cow(world):
     page = Page(b"shared")
     page.share()
     process.space.install_page(0, page)
-    world.source.physical.allocate((process.space.space_id, 0))
+    world.source.physical.allocate(process.space.space_id, 0)
     assert world.source.kernel.touch(process, 0, write=False) is None
 
 
@@ -119,7 +119,7 @@ def test_touch_prefetched_page_counts_hit(world):
     process = make_process(world.source)
     space = process.space
     space.install_page(0, Page())
-    world.source.physical.allocate((space.space_id, 0))
+    world.source.physical.allocate(space.space_id, 0)
     space.page_table[0].prefetched = True
     world.source.kernel.touch(process, 0)
     assert world.metrics.prefetch_hits == 1

@@ -1,0 +1,64 @@
+"""Equal page contents are one object, and the memos stay bounded.
+
+A write step stamps the same marker over the same payload wherever a
+workload runs, so every page of a world holding those bytes shares one
+``bytes`` object (the world's :class:`WrittenPages`).  The process-wide
+payload memo is bounded by the workload catalogue: a second world built
+from the same workloads adds nothing to it.
+"""
+
+from collections import defaultdict
+
+from repro.cluster.stress import StressConfig, run_stress
+from repro.workloads import content
+from repro.workloads.content import WRITE_MARKER
+
+SHAPE = dict(
+    hosts=4, procs=8, seed=7, migrations=8, workloads=("minprog", "chess"),
+)
+
+
+def _live_pages(result):
+    """Every page the run's jobs and hosts still hold."""
+    world = result.jobs[0].world
+    spaces = [job.process.space for job in result.jobs]
+    for host in world.hosts.values():
+        spaces.extend(p.space for p in host.kernel.processes.values())
+        for images in host.disk._store.values():
+            yield from images.values()
+    for space in spaces:
+        for entry in space.page_table.values():
+            yield entry.page
+
+
+def test_equal_live_pages_share_one_bytes_object():
+    result = run_stress(StressConfig(**SHAPE))
+    assert result.verified
+    by_contents = defaultdict(set)
+    for page in _live_pages(result):
+        by_contents[page.data].add(id(page.data))
+    stamped = [data for data in by_contents if data.startswith(WRITE_MARKER)]
+    assert stamped, "the shape must stamp pages"
+    copied = [data[:32] for data, ids in by_contents.items() if len(ids) > 1]
+    assert copied == []
+
+
+def _memo_sizes():
+    return [
+        sum(len(pages) for pages in memo.values())
+        for memo in (content._HEADS, content._PAYLOADS)
+    ]
+
+
+def test_second_world_does_not_grow_the_content_memo():
+    first = run_stress(StressConfig(**SHAPE))
+    sizes = _memo_sizes()
+    second = run_stress(StressConfig(**SHAPE))
+    assert _memo_sizes() == sizes
+    tables = [
+        {id(host.written_pages) for host in run.jobs[0].world.hosts.values()}
+        for run in (first, second)
+    ]
+    # One stamped-page table per world, shared by its hosts.
+    assert [len(ids) for ids in tables] == [1, 1]
+    assert tables[0] != tables[1]

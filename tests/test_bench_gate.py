@@ -201,8 +201,27 @@ def test_same_ignores_only_the_host_block(tmp_path):
     assert gate.main(["same", a, d]) == 1
 
 
+def test_suite_table_prints_host_metrics_per_workload(tmp_path, capsys):
+    metrics = {"wall_s": 9.25, "setup_s": 0.8, "peak_rss_mb": 61.4765625,
+               "makespan_s": 303.4}
+    out = _write(tmp_path, "suite.json", {"seed": 1987, "summaries": {
+        "cluster-iou": {"metrics": metrics},
+        "serve-mix": {"metrics": dict(metrics, wall_s=12.0)},
+    }})
+    assert gate.main(["suite", out]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "### Benchmark suite, end to end",
+        "",
+        "| workload | wall_s | setup_s | peak_rss_mb |",
+        "| --- | --- | --- | --- |",
+        "| cluster-iou | 9.250 | 0.800 | 61.477 |",
+        "| serve-mix | 12.000 | 0.800 | 61.477 |",
+    ]
+
+
 def test_cli_rejects_bad_usage_without_running_a_bench(capsys):
     assert gate.main([]) == 2
     assert gate.main(["same", "only-one.json"]) == 2
+    assert gate.main(["suite"]) == 2
     assert gate.main(["no_such_bench"]) == 1
     assert "no_such_bench" in capsys.readouterr().err
