@@ -228,7 +228,6 @@ class Kernel:
         yield self.engine.timeout(
             calibration.excise_amap_s(process.map_entries)
         )
-        amap = space.amap()
         metrics.mark("excise.amap.end")
 
         # Phase 2: collapse of process memory into a contiguous chunk,
@@ -237,6 +236,12 @@ class Kernel:
         metrics.mark("excise.rimas.start")
         yield self.engine.timeout(calibration.excise_rimas_s(len(real_runs)))
         metrics.mark("excise.rimas.end")
+
+        # The AMap, the real pages and the IOUs are read together, after
+        # the last yield: a residual push installed on this host during
+        # the collapse turns an imaginary page real, and an AMap read
+        # before it would ship that page as imaginary with no IOU.
+        amap = space.amap()
 
         core = Message(
             dest=None,

@@ -120,7 +120,9 @@ class MetricsCollector:
         #: Named phase marks: name -> simulated time.
         self.marks = {}
         # category -> (bytes child, fragments child): the per-fragment
-        # hot path skips the family's label resolution after first use.
+        # hot path skips the family's label resolution after first use,
+        # and adds to the children's values directly (wire bytes and hop
+        # times are never negative, so ``Counter.inc``'s check is moot).
         self._link_children = {}
         # host name -> (busy child, messages child), same reason: every
         # fragment hop records NMS busy time twice.
@@ -144,8 +146,8 @@ class MetricsCollector:
                 self._link_bytes.labels(category=category),
                 self._link_fragments.labels(category=category),
             )
-        children[0].inc(nbytes)
-        children[1].inc(1)
+        children[0].value += nbytes
+        children[1].value += 1
         self.obs.on_link(nbytes, category, phase)
 
     def record_nms(self, host_name, busy_s):
@@ -156,8 +158,8 @@ class MetricsCollector:
                 self._nms_busy.labels(host=host_name),
                 self._nms_messages.labels(host=host_name),
             )
-        children[0].inc(busy_s)
-        children[1].inc(1)
+        children[0].value += busy_s
+        children[1].value += 1
 
     def record_fault(self, kind):
         """Count one fault of ``kind`` (fill-zero / disk / imaginary)."""

@@ -9,7 +9,9 @@ the link's fault model (``link.faults``); it is consulted once per
 frame, after serialisation — a dropped frame burnt its medium time but
 never reaches the far side.  With no model attached every frame is
 delivered and the legacy single-argument ``transmit(nbytes)`` call
-keeps its exact cost profile.
+keeps its exact cost profile.  The NetMsgServer's perfect-network
+fragments (``repro.net.netmsgserver._Fragment``) take that same path as
+a callback chain and keep the link's counters at the same points.
 """
 
 from repro.obs.span import NULL_SPAN

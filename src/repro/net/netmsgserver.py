@@ -26,7 +26,7 @@ from repro.cor.backer import BackingServer
 from repro.faults.errors import TransportError
 from repro.obs import causal
 from repro.obs.span import NULL_SPAN
-from repro.sim import Resource
+from repro.sim import Event, Process, Resource, Timeout
 
 
 class NetMsgServerError(Exception):
@@ -105,7 +105,11 @@ class NetMsgServer:
 
         Completes when the reassembled message is enqueued at the
         destination port.  Fragments pipeline through the three stage
-        resources (source CPU, link medium, destination CPU).
+        resources (source CPU, link medium, destination CPU): on a
+        perfect network (no fault model attached) each under the
+        paper-calibrated cost model as a :class:`_Fragment` callback
+        chain, and with a FaultInjector attached each under the reliable
+        transport of :meth:`_reliable_fragment`.
         """
         link, peer = self.route_to(dest_host)
         obs = self.host.metrics.obs
@@ -159,13 +163,21 @@ class NetMsgServer:
             for section in message.sections_of(RegionSection):
                 self.pages_shipped_by_op[message.op] += len(section.pages)
             pipes = []
+            name = f"frag-{message.op}"
             for size in fragment_sizes:
-                pipe = self.engine.process(
-                    self._fragment_pipe(
-                        size, link, peer, message.op, ship_span, phase
-                    ),
-                    name=f"frag-{message.op}",
-                )
+                hop = calibration.nms_hop_s(size)
+                if link.faults is None:
+                    pipe = _Fragment(
+                        self, size, link, peer, message.op, phase, hop, name
+                    ).done
+                else:
+                    pipe = self.engine.process(
+                        self._reliable_fragment(
+                            size, link, peer, message.op, hop, ship_span,
+                            phase,
+                        ),
+                        name=name,
+                    )
                 # The all_of below owns every fragment's failure: the
                 # first one fails the shipment, and siblings failing
                 # later (or at the same instant) are already accounted.
@@ -183,35 +195,6 @@ class NetMsgServer:
             yield message.dest.enqueue(delivered)
         finally:
             ship_span.finish()
-
-    def _fragment_pipe(self, wire_bytes, link, peer, category, span, phase=None):
-        """One fragment's passage: src NMS -> link -> dst NMS.
-
-        On a perfect network (no fault model attached) the fragment
-        travels under the paper-calibrated cost model.  With a
-        FaultInjector attached it travels under the reliable transport
-        instead: sequence number, positive per-fragment ack, ack
-        timeout with capped exponential backoff, and duplicate
-        suppression at the receiver.
-        """
-        hop = self.calibration.nms_hop_s(wire_bytes)
-        if link.faults is not None:
-            yield from self._reliable_fragment(
-                wire_bytes, link, peer, category, hop, span, phase
-            )
-            return
-        with self.cpu.held() as req:
-            yield req
-            yield self.engine.timeout(hop)
-        self.host.metrics.record_nms(self.host.name, hop)
-        yield from link.transmit(wire_bytes, span=span)
-        self.host.metrics.record_link(
-            wire_bytes, category, self.host.name, peer.host.name, phase=phase
-        )
-        with peer.cpu.held() as req:
-            yield req
-            yield self.engine.timeout(hop)
-        self.host.metrics.record_nms(peer.host.name, hop)
 
     def _reliable_fragment(self, wire_bytes, link, peer, category, hop, span,
                            phase=None):
@@ -428,3 +411,104 @@ class NetMsgServer:
         # receiver's handlers can parent their spans to the sender's.
         delivered.trace_ctx = message.trace_ctx
         return delivered
+
+
+class _Fragment:
+    """One fragment's passage on a perfect network: src NMS -> link -> dst NMS.
+
+    A callback chain, not a generator process: each step is the callback
+    of the event the previous one created, which costs less host time
+    than resuming a generator.  It creates and dispatches exactly the
+    events a generator process running the same steps would, so event
+    counts, kinds and order, and every hash built on them, do not
+    depend on which of the two runs (``tests/net/test_fragment_chain.py``
+    keeps that generator as the oracle):
+
+    * an init ``Event``, scheduled on creation;
+    * the source-CPU ``Request`` and its hop ``Timeout``;
+    * the medium ``Request``, the serialisation ``Timeout`` and the
+      latency ``Timeout``, keeping the :class:`~repro.net.link.Link`
+      counters as ``Link.transmit`` does;
+    * the destination-CPU ``Request`` and its hop ``Timeout``;
+    * :attr:`done`, a ``Process`` named ``frag-<op>``.
+
+    Each slot is released, and each ``record_nms``/``record_link`` made,
+    at the point the generator would; bytes are credited to ``phase``,
+    resolved by the sender at ship time.
+    """
+
+    __slots__ = ("nms", "wire_bytes", "link", "peer", "category", "phase",
+                 "hop", "req", "done")
+
+    def __init__(self, nms, wire_bytes, link, peer, category, phase, hop,
+                 name):
+        engine = nms.engine
+        self.nms = nms
+        self.wire_bytes = wire_bytes
+        self.link = link
+        self.peer = peer
+        self.category = category
+        self.phase = phase
+        self.hop = hop
+        self.req = None
+        #: The completion event: what the shipment waits on.
+        self.done = Process.chained(engine, name)
+        init = Event(engine)
+        init._ok = True
+        init._value = None
+        init.callbacks.append(self._start)
+        engine._ready(init)
+
+    def _start(self, _init):
+        req = self.req = self.nms.cpu.request()
+        req.callbacks.append(self._source_granted)
+
+    def _source_granted(self, _req):
+        Timeout(self.nms.engine, self.hop).callbacks.append(self._source_done)
+
+    def _source_done(self, _hop):
+        nms = self.nms
+        nms.cpu.release(self.req)
+        nms.host.metrics.record_nms(nms.host.name, self.hop)
+        link = self.link
+        link.inflight += 1
+        if link.inflight > link.peak_inflight:
+            link.peak_inflight = link.inflight
+        req = self.req = link.medium.request()
+        req.callbacks.append(self._medium_granted)
+
+    def _medium_granted(self, _req):
+        link = self.link
+        Timeout(
+            link.engine,
+            (self.wire_bytes * 8.0) / link.calibration.link_bandwidth_bps,
+        ).callbacks.append(self._serialised)
+
+    def _serialised(self, _serialisation):
+        link = self.link
+        link.medium.release(self.req)
+        link.inflight -= 1
+        link.frames += 1
+        link.bytes += self.wire_bytes
+        Timeout(
+            link.engine, link.calibration.link_latency_s
+        ).callbacks.append(self._arrived)
+
+    def _arrived(self, _latency):
+        nms = self.nms
+        peer = self.peer
+        nms.host.metrics.record_link(
+            self.wire_bytes, self.category, nms.host.name, peer.host.name,
+            phase=self.phase,
+        )
+        req = self.req = peer.cpu.request()
+        req.callbacks.append(self._dest_granted)
+
+    def _dest_granted(self, _req):
+        Timeout(self.nms.engine, self.hop).callbacks.append(self._dest_done)
+
+    def _dest_done(self, _hop):
+        peer = self.peer
+        peer.cpu.release(self.req)
+        self.nms.host.metrics.record_nms(peer.host.name, self.hop)
+        self.done.succeed()

@@ -253,6 +253,32 @@ class Engine:
             raise SimulationError(f"unknown scheduling priority {priority!r}")
         _heappush(self._heap, (when, priority, next(self._seq), event))
 
+    def _ready(self, event):
+        """Queue a triggered event at ``now`` with NORMAL priority.
+
+        The hot-path form of ``schedule(event)``, used by
+        ``Event.succeed``, resource grants and process start-up.  It is
+        a method (not a bare lane append at the call sites) so that
+        :class:`~repro.sim.refqueue.ReferenceEngine` routes the same
+        calls through its flat heap.
+        """
+        self._lane_normal.append(event)
+
+    def _after(self, event, delay):
+        """Queue a triggered event at ``now + delay`` with NORMAL priority.
+
+        The hot-path form of ``schedule(event, delay)`` for callers that
+        have already rejected negative delays (``Timeout``); overridden
+        by :class:`~repro.sim.refqueue.ReferenceEngine` like
+        :meth:`_ready`.
+        """
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._lane_normal.append(event)
+        else:
+            _heappush(self._heap, (when, NORMAL, next(self._seq), event))
+
     def cancel(self, event):
         """Cancel a scheduled event in O(1): mark it; the dispatch loop
         drops it when its queue entry surfaces.

@@ -65,7 +65,10 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.engine.schedule(self, 0.0, priority)
+        if priority is None:
+            self.engine._ready(self)
+        else:
+            self.engine.schedule(self, 0.0, priority)
         return self
 
     def fail(self, exception, priority=None):
@@ -126,7 +129,7 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        engine.schedule(self, delay)
+        engine._after(self, delay)
 
     def __repr__(self):
         return f"<Timeout delay={self.delay}>"

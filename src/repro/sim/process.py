@@ -31,7 +31,28 @@ class Process(Event):
         init._ok = True
         init._value = None
         init.callbacks.append(self._resume)
-        engine.schedule(init)
+        engine._ready(init)
+
+    @classmethod
+    def chained(cls, engine, name):
+        """A process with no generator, for a callback chain to finish.
+
+        The chain does the work with event callbacks and ends it with
+        ``succeed``/``fail`` on the returned object, which waiters see,
+        and the engine dispatches, as a process named ``name``.  Nothing
+        is scheduled here (the chain schedules its own first event), and
+        :meth:`interrupt` refuses the result.
+        """
+        process = cls.__new__(cls)
+        process.engine = engine
+        process.callbacks = []
+        process._value = PENDING
+        process._ok = None
+        process._defused = False
+        process._generator = None
+        process.name = name
+        process._target = None
+        return process
 
     def __repr__(self):
         state = "alive" if self.is_alive else "dead"
@@ -53,6 +74,8 @@ class Process(Event):
             raise SimulationError(f"cannot interrupt dead {self!r}")
         if self.engine.active_process is self:
             raise SimulationError("a process cannot interrupt itself")
+        if self._generator is None:
+            raise SimulationError(f"cannot interrupt callback chain {self!r}")
         # Deliver asynchronously (via an immediately-scheduled event) to
         # keep event ordering deterministic.
         interrupt_event = Event(self.engine)

@@ -60,6 +60,14 @@ class ReferenceEngine(Engine):
             (self._now + delay, priority, next(self._ref_seq), event),
         )
 
+    def _ready(self, event):
+        """The engine's same-instant hot path, through the flat heap."""
+        self.schedule(event)
+
+    def _after(self, event, delay):
+        """The engine's timeout hot path, through the flat heap."""
+        self.schedule(event, delay)
+
     def cancel(self, event):
         """Mark ``event`` cancelled; dropped when its entry surfaces."""
         if event._value is PENDING:

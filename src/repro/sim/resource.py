@@ -92,18 +92,41 @@ class Resource:
         return len(self._waiting)
 
     def request(self):
-        """Ask for a slot; returns an event that fires once granted."""
-        self._account()
+        """Ask for a slot; returns an event that fires once granted.
+
+        A free slot is granted on the spot: the request joins the users
+        and its grant event is scheduled at once, exactly as the FIFO
+        hand-off in :meth:`_grant` would, without a trip through the
+        queue (a free slot means nobody waits).
+        """
+        engine = self.engine
+        now = engine._now
+        users = self._users
+        self.busy_time += len(users) * (now - self._last_change)
+        self._last_change = now
         req = Request(self)
-        self._waiting.append(req)
-        self._grant()
+        if len(users) < self.capacity:
+            users.append(req)
+            req._ok = True
+            req._value = req
+            engine._ready(req)
+        else:
+            self._waiting.append(req)
         return req
 
     def release(self, request):
-        """Return a previously-granted slot."""
-        self._account()
+        """Return a previously-granted slot.
+
+        A released request's value drops its reference to itself, so a
+        finished request is freed by reference counting rather than
+        left for the cyclic garbage collector.
+        """
+        now = self.engine._now
+        users = self._users
+        self.busy_time += len(users) * (now - self._last_change)
+        self._last_change = now
         try:
-            self._users.remove(request)
+            users.remove(request)
         except ValueError:
             # Releasing an ungranted request cancels it instead.
             try:
@@ -113,7 +136,9 @@ class Resource:
                 raise SimulationError(
                     f"release of request not held on {self.name!r}"
                 ) from None
-        self._grant()
+        request._value = None
+        if self._waiting:
+            self._grant()
 
     def held(self):
         """Context manager for use inside processes::
@@ -141,7 +166,12 @@ class Resource:
         self._last_change = now
 
     def _grant(self):
-        while self._waiting and len(self._users) < self.capacity:
-            req = self._waiting.popleft()
-            self._users.append(req)
-            req.succeed(req)
+        waiting = self._waiting
+        users = self._users
+        engine = self.engine
+        while waiting and len(users) < self.capacity:
+            req = waiting.popleft()
+            users.append(req)
+            req._ok = True
+            req._value = req
+            engine._ready(req)

@@ -1,5 +1,6 @@
 """The residual-dependency flusher's pacing, backlog and failure paths."""
 
+from repro.accent.kernel import Kernel
 from repro.cor.flusher import ResidualFlusher
 from repro.faults import FaultPlan
 from repro.testbed import Testbed
@@ -63,3 +64,35 @@ def test_push_landing_after_the_process_exits_is_dropped(monkeypatch):
     )
     assert result.outcome == "completed" and result.verified
     assert late == ["minprog"]
+
+
+def test_push_installed_during_excise_ships_with_the_amap(monkeypatch):
+    # With eager one-page pushes, pages land on beta while it is still
+    # excising minprog for the hop to gamma.  The AMap must be read with
+    # the pages and IOUs, or a page it calls imaginary ships as real and
+    # insertion at gamma finds no IOU for it.
+    excising = set()
+    during = []
+    excise = Kernel.excise_process
+    absorb = ResidualFlusher._absorb
+
+    def tracked(kernel, name):
+        excising.add((kernel.host.name, name))
+        try:
+            return (yield from excise(kernel, name))
+        finally:
+            excising.discard((kernel.host.name, name))
+
+    def spying(flusher, message):
+        key = (flusher.host.name, message.meta["process_name"])
+        if key in excising:
+            during.append(key)
+        return (yield from absorb(flusher, message))
+
+    monkeypatch.setattr(Kernel, "excise_process", tracked)
+    monkeypatch.setattr(ResidualFlusher, "_absorb", spying)
+    result = Testbed(faults=_plan(1, 0.0)).migrate_chain(
+        "minprog", path=("alpha", "beta", "gamma")
+    )
+    assert ("beta", "minprog") in during
+    assert result.outcome == "completed" and result.verified

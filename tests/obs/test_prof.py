@@ -152,10 +152,14 @@ class TestEngineAttachment:
 
 @pytest.fixture(scope="module")
 def stress_profiler():
-    """One profiled stress run long enough for ~50 samples."""
+    """One profiled run of the reference stress shape: about 0.4 s of
+    engine time, so about 100 samples, where the sim layer's share
+    (a quarter to a third) leaves no real chance of it going unsampled.
+    An 8-host/24-process run gave about 35 samples and could miss the
+    sim layer."""
     profiler = EngineProfiler()
     with profiled(profiler):
-        run_stress(StressConfig(hosts=8, procs=24, seed=7))
+        run_stress(StressConfig(hosts=16, procs=64, seed=7))
     return profiler
 
 
