@@ -63,8 +63,10 @@ def run_trial(lazy):
             space.map_imaginary(0, FILE_PAGES * PAGE_SIZE, iou.handle)
         else:
             space.validate(0, FILE_PAGES * PAGE_SIZE)
-            for index, page in message.first_section(RegionSection).pages.items():
-                world.dest.kernel._install_bulk(space, index, page)
+            pages = message.first_section(RegionSection).pages
+            client_host.kernel.install_run(
+                space, list(pages), list(pages.values())
+            )
         # Read every 40th record.
         for index in range(0, RECORDS_READ * 40, 40):
             cost = client_host.kernel.touch(client, index)

@@ -35,6 +35,13 @@ class PagingDisk:
         """
         self._store.setdefault(space_id, {})[page_index] = page
 
+    def store_images(self, space_id, images):
+        """Place a space's ``{page_index: page}`` images on disk in one
+        call, without simulated time (builder path, as
+        :meth:`store_instant`)."""
+        if images:
+            self._store.setdefault(space_id, {}).update(images)
+
     def holds(self, space_id, page_index):
         """Whether a page image is on this disk."""
         return page_index in self._store.get(space_id, ())

@@ -3,7 +3,6 @@
 from repro.accent.disk import PagingDisk
 from repro.accent.kernel import Kernel
 from repro.accent.pager import Pager
-from repro.accent.vm.address_space import Residency
 from repro.accent.vm.physical import PhysicalMemory
 from repro.sim import Resource
 from repro.store.source import PageResolver
@@ -85,24 +84,3 @@ class Host:
     def create_port(self, name=None, backlog=None):
         """Allocate a port homed at this host."""
         return self.registry.create(self, name=name, backlog=backlog)
-
-    def make_resident_instant(self, space, index):
-        """Builder path: mark an existing page resident, claiming a frame.
-
-        Used when constructing pre-migration state; charges no simulated
-        time.  Raises if the frame pool would need an eviction (builders
-        should size the pool or place pages on disk explicitly).
-        """
-        victim = self.physical.allocate(space.space_id, index)
-        if victim is not None:
-            raise RuntimeError(
-                "builder overfilled physical memory; place pages on disk"
-            )
-        space.set_residency(index, Residency.RESIDENT)
-
-    def place_on_disk_instant(self, space, index):
-        """Builder path: push an existing page's image to the local disk."""
-        entry = space.entry(index)
-        self.disk.store_instant(space.space_id, index, entry.page)
-        self.physical.evict(space.space_id, index)
-        space.set_residency(index, Residency.ON_DISK)

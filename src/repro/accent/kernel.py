@@ -7,6 +7,8 @@ path — touching a resident page — returns ``None`` so workloads pay
 nothing for it, mirroring a real TLB hit.
 """
 
+from itertools import groupby, repeat
+
 from repro.accent.constants import PAGE_SIZE
 from repro.accent.ipc.message import (
     AMapSection,
@@ -20,11 +22,12 @@ from repro.accent.ipc.port import RECEIVE
 from repro.accent.ipc.stats import TransferStats
 from repro.accent.pager import OP_IMAG_DEATH
 from repro.accent.process import AccentProcess, ProcessStatus
-from repro.accent.vm.accessibility import REAL_MEM, REAL_ZERO_MEM
+from repro.accent.vm.accessibility import IMAG_MEM, REAL_ZERO_MEM
 from repro.accent.vm.address_space import (
     AddressSpace,
     AddressSpaceError,
     ImaginaryMapping,
+    PageEntry,
     Residency,
     VALIDATED,
 )
@@ -365,85 +368,66 @@ class Kernel:
         for run in amap.runs():
             if run.accessibility is REAL_ZERO_MEM:
                 space.validate(run.start, run.end - run.start)
-            elif run.accessibility is REAL_MEM:
-                self._rebuild_real_run(space, run, shipped, owed)
-            else:  # IMAG_MEM: memory the source itself held imaginary
-                self._rebuild_owed_run(space, run, owed)
-
-    def _rebuild_real_run(self, space, run, shipped, owed):
-        first = run.start // PAGE_SIZE
-        last = (run.end - 1) // PAGE_SIZE
-        # Split the run into maximal shipped / owed subruns.
-        subrun = []
-        mode = None
-        for index in range(first, last + 1):
-            if index in shipped:
-                page_mode = "shipped"
-            elif index in owed:
-                page_mode = ("owed", owed[index])
-            else:
-                raise KernelError(
-                    f"RIMAS lost page {index}: neither shipped nor owed"
+                continue
+            pages = range(
+                run.start // PAGE_SIZE, (run.end - 1) // PAGE_SIZE + 1
+            )
+            if run.accessibility is IMAG_MEM:
+                # Memory the source itself held imaginary.
+                self._map_owed(
+                    space, pages, owed, "imaginary page {} has no IOU"
                 )
-            if page_mode != mode and subrun:
-                self._apply_subrun(space, subrun, mode, shipped)
-                subrun = []
-            mode = page_mode
-            subrun.append(index)
-        if subrun:
-            self._apply_subrun(space, subrun, mode, shipped)
-
-    def _apply_subrun(self, space, indices, mode, shipped):
-        start = indices[0] * PAGE_SIZE
-        size = len(indices) * PAGE_SIZE
-        if mode == "shipped":
-            space.validate(start, size)
-            for index in indices:
-                self._install_bulk(space, index, shipped[index])
-        else:
-            _, handle = mode
-            space.map_imaginary(start, size, handle)
-
-    def _rebuild_owed_run(self, space, run, owed):
-        first = run.start // PAGE_SIZE
-        last = (run.end - 1) // PAGE_SIZE
-        handle = None
-        run_pages = []
-        for index in range(first, last + 1):
-            page_handle = owed.get(index)
-            if page_handle is None:
-                raise KernelError(f"imaginary page {index} has no IOU")
-            if page_handle is not handle and run_pages:
-                self._map_owed(space, run_pages, handle)
-                run_pages = []
-            handle = page_handle
-            run_pages.append(index)
-        if run_pages:
-            self._map_owed(space, run_pages, handle)
+                continue
+            # Split the real run into maximal shipped / owed subruns.
+            for is_shipped, subrun in groupby(pages, shipped.__contains__):
+                indices = list(subrun)
+                if not is_shipped:
+                    self._map_owed(
+                        space, indices, owed,
+                        "RIMAS lost page {}: neither shipped nor owed",
+                    )
+                    continue
+                space.validate(
+                    indices[0] * PAGE_SIZE, len(indices) * PAGE_SIZE
+                )
+                self.install_run(
+                    space, indices, [shipped[index] for index in indices]
+                )
 
     @staticmethod
-    def _map_owed(space, indices, handle):
-        space.map_imaginary(
-            indices[0] * PAGE_SIZE, len(indices) * PAGE_SIZE, handle
-        )
+    def _map_owed(space, pages, owed, missing):
+        """Map ``pages`` imaginary, one mapping per run of one IOU;
+        ``missing`` names a page no IOU covers."""
+        for handle, subrun in groupby(pages, owed.get):
+            indices = list(subrun)
+            if handle is None:
+                raise KernelError(missing.format(indices[0]))
+            space.map_imaginary(
+                indices[0] * PAGE_SIZE, len(indices) * PAGE_SIZE, handle
+            )
 
-    def _install_bulk(self, space, index, page):
-        """Frame-install for bulk insertion (no per-page fault cost).
+    def install_run(self, space, indices, pages):
+        """Install ``pages`` resident at the ascending ``indices`` of
+        ``space`` in one call, charging no simulated time (insertion's
+        cost is charged as a lump by ``insert_s``).
 
-        With the default generous frame pool insertion never evicts; if
-        a tiny pool is configured the victim is moved to disk instantly
-        (insertion cost is already charged as a lump by insert_s).
+        The pages enter the page table first, then claim frames in index
+        order: with a small frame pool a victim can be a page of
+        ``space`` itself.  Each victim moves to the local disk at once.
         """
-        victim = self.host.physical.allocate(space.space_id, index)
-        if victim is not None:
-            victim_space_id, victim_index = victim
-            victim_space = self.host.space_by_id(victim_space_id)
-            entry = victim_space.entry(victim_index)
-            self.host.disk.store_instant(
-                victim_space_id, victim_index, entry.page
+        space.install_run(
+            indices, list(map(PageEntry, pages, repeat(Residency.RESIDENT)))
+        )
+        host = self.host
+        for victim_space_id, victim_index in host.physical.claim(
+            space.space_id, indices
+        ):
+            victim_space = host.space_by_id(victim_space_id)
+            host.disk.store_instant(
+                victim_space_id, victim_index,
+                victim_space.entry(victim_index).page,
             )
             victim_space.set_residency(victim_index, Residency.ON_DISK)
-        space.install_page(index, page, Residency.RESIDENT)
 
     # -- termination -----------------------------------------------------------
     def _discard_space(self, space):

@@ -20,7 +20,8 @@ frame pool itself lives in :class:`~repro.accent.vm.physical.PhysicalMemory`.
 
 import bisect
 import enum
-from itertools import count
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, ge, ne, sub
 
 from repro.accent.constants import PAGE_SIZE, SPACE_LIMIT, pages_spanned
 from repro.accent.vm.accessibility import (
@@ -34,6 +35,7 @@ from repro.accent.vm.intervals import IntervalMap
 from repro.accent.vm.page import Page
 
 _space_ids = count(1)
+_residency_of = attrgetter("residency")
 
 #: Region-table value for plain validated (zero-fill) memory.
 VALIDATED = "validated"
@@ -69,7 +71,7 @@ class PageEntry:
 
     __slots__ = ("page", "residency", "prefetched", "last_touch")
 
-    def __init__(self, page, residency):
+    def __init__(self, page, residency, last_touch=None):
         self.page = page
         self.residency = residency
         #: True while the page arrived by prefetch and has not yet been
@@ -77,7 +79,7 @@ class PageEntry:
         self.prefetched = False
         #: Simulated time of the most recent reference (None if never
         #: referenced) — the input to Denning working-set estimation.
-        self.last_touch = None
+        self.last_touch = last_touch
 
     def __repr__(self):
         return f"<PageEntry {self.residency.value} {self.page!r}>"
@@ -181,26 +183,35 @@ class AddressSpace:
         return self.regions.get(address)
 
     def amap(self):
-        """Construct the Accessibility Map for the whole space."""
+        """Construct the Accessibility Map for the whole space.
+
+        One ``REAL_MEM`` run per maximal run of consecutive pages
+        inside each region, so the cost is regions plus page runs.
+        """
         amap = AMap()
-        pages = self._sorted_page_list()
+        add_run = amap.add_run
+        firsts, lasts = self._page_runs()
         for run_start, run_end, value in self.regions.runs():
             base_class = REAL_ZERO_MEM if value is VALIDATED else IMAG_MEM
             first_page = run_start // PAGE_SIZE
             last_page = (run_end - 1) // PAGE_SIZE
-            lo = bisect.bisect_left(pages, first_page)
-            hi = bisect.bisect_right(pages, last_page)
+            # The page runs inside the region; a run straddling two
+            # regions is clipped to each.
+            lo = bisect.bisect_left(lasts, first_page)
+            hi = bisect.bisect_right(firsts, last_page)
             cursor = run_start
-            for index in pages[lo:hi]:
-                page_start = index * PAGE_SIZE
-                page_end = min(page_start + PAGE_SIZE, run_end)
-                page_start = max(page_start, run_start)
-                if page_start > cursor:
-                    amap.add_run(cursor, page_start, base_class)
-                amap.add_run(page_start, page_end, REAL_MEM)
-                cursor = page_end
+            for first, last in zip(firsts[lo:hi], lasts[lo:hi]):
+                real_start = first * PAGE_SIZE
+                if real_start > cursor:
+                    add_run(cursor, real_start, base_class)
+                elif real_start < cursor:
+                    real_start = cursor
+                cursor = (last + 1) * PAGE_SIZE
+                if cursor > run_end:
+                    cursor = run_end
+                add_run(real_start, cursor, REAL_MEM)
             if cursor < run_end:
-                amap.add_run(cursor, run_end, base_class)
+                add_run(cursor, run_end, base_class)
         return amap
 
     # -- page management --------------------------------------------------------
@@ -223,6 +234,46 @@ class AddressSpace:
                 self._sorted_dirty = True
             else:
                 self._sorted_pages.append(index)
+
+    def install_run(self, indices, entries):
+        """Enter the :class:`PageEntry` ``entries`` at page ``indices``
+        in one call (builder and insertion path).
+
+        ``indices`` must ascend strictly, lie inside one region and
+        hold no page yet.  The call costs one region lookup, one
+        duplicate check and one extension of the sorted index list; it
+        raises before changing anything.
+        """
+        if len(entries) != len(indices):
+            raise ValueError(
+                f"{len(indices)} indices but {len(entries)} entries"
+            )
+        if not indices:
+            return
+        if any(map(ge, indices, islice(indices, 1, None))):
+            raise AddressSpaceError(
+                f"page run for {self.name} does not ascend strictly"
+            )
+        first, last = indices[0], indices[-1]
+        start, end = first * PAGE_SIZE, (last + 1) * PAGE_SIZE
+        regions = list(self.regions.overlapping(start, end))
+        if len(regions) != 1 or regions[0][:2] != (start, end):
+            raise AddressSpaceError(
+                f"pages {first}..{last} do not lie inside one region "
+                f"of {self.name}"
+            )
+        table = self.page_table
+        if not table.keys().isdisjoint(indices):
+            present = next(index for index in indices if index in table)
+            raise AddressSpaceError(f"page {present} already present")
+        if regions[0][2] is not VALIDATED:
+            self._imag_bytes -= len(indices) * PAGE_SIZE
+        table.update(zip(indices, entries))
+        if not self._sorted_dirty:
+            if self._sorted_pages and first < self._sorted_pages[-1]:
+                self._sorted_dirty = True
+            else:
+                self._sorted_pages.extend(indices)
 
     def _drop_page(self, index):
         entry = self.page_table.pop(index)
@@ -393,14 +444,25 @@ class AddressSpace:
 
     def resident_bytes(self):
         """Size of the resident set (Table 4-2's *RS Size*)."""
-        return len(self.resident_page_indices()) * PAGE_SIZE
+        residencies = map(_residency_of, self.page_table.values())
+        return list(residencies).count(Residency.RESIDENT) * PAGE_SIZE
 
     def real_runs(self):
         """Contiguous runs of existing pages as (first, last) inclusive."""
-        runs = []
-        for index in self._sorted_page_list():
-            if runs and index == runs[-1][1] + 1:
-                runs[-1][1] = index
-            else:
-                runs.append([index, index])
-        return [(first, last) for first, last in runs]
+        return list(zip(*self._page_runs()))
+
+    def _page_runs(self):
+        """``(firsts, lasts)``: the first and last index of each maximal
+        run of consecutive existing pages, in address order."""
+        pages = self._sorted_page_list()
+        if not pages:
+            return [], []
+        # Positions where an index is not its predecessor plus one;
+        # map and compress scan the list without a bytecode loop.
+        steps = map(sub, islice(pages, 1, None), pages)
+        breaks = list(compress(count(1), map(ne, steps, repeat(1))))
+        firsts = [pages[0]]
+        firsts += [pages[position] for position in breaks]
+        lasts = [pages[position - 1] for position in breaks]
+        lasts.append(pages[-1])
+        return firsts, lasts

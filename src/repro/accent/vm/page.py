@@ -36,14 +36,16 @@ class Page:
 
     __slots__ = ("_data", "refs")
 
-    def __init__(self, data=None):
-        if data is None:
-            data = _ZERO
-        elif len(data) < PAGE_SIZE:
+    def __init__(self, data=_ZERO):
+        # A full page of immutable bytes is kept as it is: no padding,
+        # no copy.  Anything shorter is zero-padded.
+        if len(data) != PAGE_SIZE or type(data) is not bytes:
+            if len(data) > PAGE_SIZE:
+                raise ValueError(
+                    f"page data of {len(data)} bytes exceeds {PAGE_SIZE}"
+                )
             data = bytes(data) + _ZERO[len(data):]
-        elif len(data) > PAGE_SIZE:
-            raise ValueError(f"page data of {len(data)} bytes exceeds {PAGE_SIZE}")
-        self._data = bytes(data)
+        self._data = data
         self.refs = 1
 
     def __repr__(self):

@@ -67,20 +67,34 @@ class PhysicalMemory:
         The caller is responsible for paging the victim's contents out
         (the pager charges the disk-write time).
         """
-        key = space_id << _SHIFT | page_index
+        victims = self.claim(space_id, (page_index,))
+        return victims[0] if victims else None
+
+    def claim(self, space_id, page_indices):
+        """Claim a frame for each page, in order; returns the evicted
+        ``(space_id, page_index)`` pairs in eviction order.
+
+        A page that already holds a frame is refreshed to
+        most-recently-used instead.  The caller is responsible for
+        paging the victims' contents out.
+        """
+        base = space_id << _SHIFT
         lru = self._lru
-        if key in lru:
-            lru.move_to_end(key)
-            return None
-        victim = None
-        if len(lru) >= self.frame_count:
-            try:
-                packed, _ = lru.popitem(last=False)
-            except KeyError:  # pragma: no cover - guarded by frame_count > 0
-                raise OutOfFrames("no frames and no victims") from None
-            victim = (packed >> _SHIFT, packed & _INDEX_MASK)
-        lru[key] = None
-        return victim
+        frame_count = self.frame_count
+        victims = []
+        for index in page_indices:
+            key = base | index
+            if key in lru:
+                lru.move_to_end(key)
+                continue
+            if len(lru) >= frame_count:
+                try:
+                    packed, _ = lru.popitem(last=False)
+                except KeyError:  # pragma: no cover - frame_count > 0
+                    raise OutOfFrames("no frames and no victims") from None
+                victims.append((packed >> _SHIFT, packed & _INDEX_MASK))
+            lru[key] = None
+        return victims
 
     def evict(self, space_id, page_index):
         """Explicitly release the frame held by a page (if any)."""

@@ -16,7 +16,7 @@ from collections import namedtuple
 from repro.accent.constants import PAGE_SIZE
 from repro.accent.ipc.message import InlineSection, Message, RegionSection
 from repro.accent.process import AccentProcess
-from repro.accent.vm.address_space import AddressSpace, Residency
+from repro.accent.vm.address_space import AddressSpace
 from repro.accent.vm.page import Page
 
 #: Pipeline stage names, in order.
@@ -56,9 +56,9 @@ def run_system_build(world, file_pages=2048, writes_per_stage=(0, 1, 1, 0)):
         space.validate(0, file_pages * PAGE_SIZE)
         process = AccentProcess(name=name, space=space)
         kernel.register(process)
-        for index, page in region.pages.items():
-            space.install_page(index, page, Residency.RESIDENT)
-            host.physical.allocate(space.space_id, index)
+        kernel.install_run(
+            space, list(region.pages), list(region.pages.values())
+        )
         return process
 
     def stage(name, successor, writes):

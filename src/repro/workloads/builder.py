@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from repro.accent.ipc.port import PortRight, RECEIVE, SEND
 from repro.accent.process import AccentProcess
-from repro.accent.vm.address_space import AddressSpace, Residency
+from repro.accent.vm.address_space import AddressSpace, PageEntry, Residency
 from repro.accent.vm.page import Page
-from repro.workloads.content import page_payload
+from repro.workloads.content import page_payloads
 from repro.workloads.layout import make_layout
 from repro.workloads.trace import build_trace
 
@@ -37,32 +37,47 @@ def build_process(host, spec, streams, name=None):
 
     space = AddressSpace(name=name or spec.name)
     space.validate(plan.region_start, plan.region_size)
-
-    # One pass in index order: install each page, give it a frame or a
-    # disk image, and draw its pre-migration reference recency —
-    # working-set pages were touched within the last τ; the rest of the
-    # resident set earlier (it is a disk cache); paged-out data long ago.
     host.register_space(space)
-    space_id = space.space_id
+
+    # One pass in index order draws each page's pre-migration reference
+    # recency: working-set pages were touched within the last τ; the
+    # rest of the resident set earlier (it is a disk cache); paged-out
+    # data long ago.  Three bulk calls then enter the pages, claim the
+    # resident set's frames in index order and write the rest to the
+    # paging disk.
     now = host.engine.now
     window = host.calibration.ws_window_s
-    for index in plan.real_indices:
-        page = Page(page_payload(spec.name, index))
-        if index in plan.resident:
-            space.install_page(index, page, Residency.RESIDENT)
-            if host.physical.allocate(space_id, index) is not None:
-                raise RuntimeError(
-                    f"{spec.name}: frame pool too small for its resident set"
-                )
-            if index in plan.recent:
-                ago = rng.random() * 0.2 * window
+    draw = rng.random
+    resident = plan.resident
+    recent = plan.recent
+    on_disk = Residency.ON_DISK
+    in_memory = Residency.RESIDENT
+    indices = plan.real_indices
+    pages = list(map(Page, page_payloads(spec.name, indices)))
+    residencies = []
+    touches = []
+    frames = []
+    images = {}
+    for index, page in zip(indices, pages):
+        if index in resident:
+            frames.append(index)
+            residencies.append(in_memory)
+            if index in recent:
+                ago = draw() * 0.2 * window
             else:
-                ago = window * (1.5 + 4.0 * rng.random())
+                ago = window * (1.5 + 4.0 * draw())
         else:
-            space.install_page(index, page, Residency.ON_DISK)
-            host.disk.store_instant(space_id, index, page)
-            ago = window * (10.0 + 40.0 * rng.random())
-        space.page_table[index].last_touch = now - ago
+            images[index] = page
+            residencies.append(on_disk)
+            ago = window * (10.0 + 40.0 * draw())
+        touches.append(now - ago)
+    entries = list(map(PageEntry, pages, residencies, touches))
+    space.install_run(indices, entries)
+    if host.physical.claim(space.space_id, frames):
+        raise RuntimeError(
+            f"{spec.name}: frame pool too small for its resident set"
+        )
+    host.disk.store_images(space.space_id, images)
 
     # A self port (Receive) and a service port (Send) exercise the
     # transparent port-right transfer of ExciseProcess (§3.1).

@@ -37,6 +37,15 @@ def page_payload(workload_name, page_index):
     return payload
 
 
+def page_payloads(workload_name, page_indices):
+    """:func:`page_payload` of each index, in order."""
+    payloads = _PAYLOADS[workload_name]
+    try:
+        return list(map(payloads.__getitem__, page_indices))
+    except KeyError:  # a layout not seen before in this process
+        return [page_payload(workload_name, index) for index in page_indices]
+
+
 def page_head(workload_name, page_index):
     """The leading 32 bytes (enough to verify identity cheaply)."""
     heads = _HEADS[workload_name]

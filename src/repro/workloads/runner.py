@@ -81,8 +81,9 @@ def remote_body(host, process, trace, result, terminate=True):
     """
     kernel = host.kernel
     name = process.blueprint or result.workload_name
+    slice_s = trace.compute_slice_s
     for step in trace.steps:
-        yield from cpu_slice(host, trace.compute_slice_s)
+        yield from cpu_slice(host, slice_s)
         yield from reference(
             kernel, process, name, step.page_index, step.write,
             step.kind != "zero", result.mismatches,

@@ -110,12 +110,11 @@ def build_trace(spec, plan, rng):
     copy-on-write break path); zero touches are spread evenly through
     the run.
     """
-    real_steps = []
-    for position, index in enumerate(plan.touched_order):
-        write = (position % max(1, round(1 / spec.write_fraction))) == 0
-        real_steps.append(TraceStep(index, write, "real"))
-
-    steps = list(real_steps)
+    every = max(1, round(1 / spec.write_fraction))
+    steps = [
+        TraceStep(index, position % every == 0, "real")
+        for position, index in enumerate(plan.touched_order)
+    ]
     zero_pages = list(plan.zero_touches)
     if zero_pages:
         stride = max(1, len(steps) // len(zero_pages)) if steps else 1

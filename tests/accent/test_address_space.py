@@ -12,6 +12,7 @@ from repro.accent.vm.accessibility import (
 from repro.accent.vm.address_space import (
     AddressSpace,
     AddressSpaceError,
+    PageEntry,
     Residency,
 )
 from repro.accent.vm.page import Page
@@ -170,6 +171,73 @@ def test_install_into_imaginary_region():
     assert space.accessibility(PAGE_SIZE) is REAL_MEM
     assert space.accessibility(0) is IMAG_MEM
     assert space.peek(PAGE_SIZE, 7) == b"fetched"
+
+
+def entries(count, residency=Residency.RESIDENT):
+    return [PageEntry(Page(bytes([i])), residency) for i in range(count)]
+
+
+def test_install_run_enters_every_page():
+    space = make_space()
+    space.install_page(2, Page())
+    run = entries(3, Residency.ON_DISK)
+    space.install_run([5, 6, 9], run)
+    assert [space.entry(i) for i in (5, 6, 9)] == run
+    assert space.real_page_indices() == [2, 5, 6, 9]
+    assert space.real_runs() == [(2, 2), (5, 6), (9, 9)]
+
+
+def test_install_run_keeps_sorted_order_when_out_of_order():
+    space = make_space()
+    space.install_run([10, 11], entries(2))
+    space.install_run([3, 4], entries(2))
+    assert space.real_page_indices() == [3, 4, 10, 11]
+    assert space.real_runs() == [(3, 4), (10, 11)]
+
+
+def test_install_run_into_imaginary_region_settles_owed_bytes():
+    space = AddressSpace()
+    space.map_imaginary(0, 8 * PAGE_SIZE, FakeHandle())
+    space.install_run([1, 2, 5], entries(3))
+    assert space.imaginary_bytes == 5 * PAGE_SIZE
+    assert space.imaginary_bytes == space._scan_imaginary_bytes()
+
+
+@pytest.mark.parametrize("indices, match", [
+    ([100, 101], "inside one region"),      # outside every region
+    ([62, 63, 64], "inside one region"),    # runs off the region's end
+    ([4, 3], "does not ascend"),
+    ([3, 3], "does not ascend"),
+])
+def test_install_run_rejects_bad_runs(indices, match):
+    space = make_space()
+    with pytest.raises(AddressSpaceError, match=match):
+        space.install_run(indices, entries(len(indices)))
+    assert space.page_table == {}
+
+
+def test_install_run_rejects_a_run_crossing_two_regions():
+    space = AddressSpace()
+    space.validate(0, 4 * PAGE_SIZE)
+    space.map_imaginary(4 * PAGE_SIZE, 4 * PAGE_SIZE, FakeHandle())
+    with pytest.raises(AddressSpaceError, match="inside one region"):
+        space.install_run([3, 4], entries(2))
+
+
+def test_install_run_rejects_a_present_page_and_changes_nothing():
+    space = make_space()
+    space.install_page(7, Page())
+    with pytest.raises(AddressSpaceError, match="page 7 already present"):
+        space.install_run([6, 7, 8], entries(3))
+    assert space.real_page_indices() == [7]
+
+
+def test_install_run_needs_one_entry_per_index():
+    space = make_space()
+    with pytest.raises(ValueError):
+        space.install_run([1, 2], entries(1))
+    space.install_run([], [])  # an empty run enters nothing
+    assert space.page_table == {}
 
 
 def test_set_residency():

@@ -11,7 +11,7 @@ from repro.accent.process import (
     PCB_BYTES,
     ProcessStatus,
 )
-from repro.accent.vm.address_space import AddressSpace, Residency
+from repro.accent.vm.address_space import AddressSpace, PageEntry, Residency
 from repro.accent.vm.page import Page
 
 
@@ -28,36 +28,48 @@ def test_create_port_homed_at_host(world):
     assert port in world.registry
 
 
-def test_make_resident_instant_claims_frame(world):
+def test_bulk_install_claims_a_frame(world):
+    host = world.source
     space = make_space()
-    world.source.register_space(space)
-    space.install_page(0, Page(), Residency.ON_DISK)
-    world.source.physical.evict(space.space_id, 0)
-    world.source.make_resident_instant(space, 0)
+    host.register_space(space)
+    host.kernel.install_run(space, [0], [Page()])
     assert space.entry(0).residency is Residency.RESIDENT
-    assert (space.space_id, 0) in world.source.physical
+    assert (space.space_id, 0) in host.physical
 
 
-def test_make_resident_instant_rejects_overfill(world):
-    world.source.physical.frame_count = 1
+def test_bulk_claim_reports_an_overfill(world):
+    """A full pool evicts in order; a builder refuses any victim."""
+    host = world.source
+    host.physical.frame_count = 1
     space = make_space()
-    world.source.register_space(space)
-    space.install_page(0, Page(), Residency.RESIDENT)
-    world.source.physical.allocate(space.space_id, 0)
-    space.install_page(1, Page(), Residency.ON_DISK)
-    with pytest.raises(RuntimeError, match="overfilled"):
-        world.source.make_resident_instant(space, 1)
+    host.register_space(space)
+    space.install_run([0, 1], [
+        PageEntry(Page(), Residency.RESIDENT),
+        PageEntry(Page(), Residency.RESIDENT),
+    ])
+    assert host.physical.claim(space.space_id, [0, 1]) == [
+        (space.space_id, 0)
+    ]
+    assert host.physical.resident_keys() == [(space.space_id, 1)]
 
 
-def test_place_on_disk_instant_round_trip(world):
+def test_bulk_disk_images_round_trip(world):
+    host = world.source
     space = make_space()
-    world.source.register_space(space)
-    space.install_page(0, Page(b"imaged"), Residency.RESIDENT)
-    world.source.physical.allocate(space.space_id, 0)
-    world.source.place_on_disk_instant(space, 0)
+    host.register_space(space)
+    page = Page(b"imaged")
+    space.install_run([0], [PageEntry(page, Residency.ON_DISK)])
+    host.disk.store_images(space.space_id, {0: page})
     assert space.entry(0).residency is Residency.ON_DISK
-    assert world.source.disk.holds(space.space_id, 0)
-    assert (space.space_id, 0) not in world.source.physical
+    assert host.disk.holds(space.space_id, 0)
+    assert (space.space_id, 0) not in host.physical
+
+    def read_back():
+        return (yield from host.disk.read(space.space_id, 0))
+
+    reader = world.engine.process(read_back())
+    world.engine.run(until=reader)
+    assert reader.value is page
 
 
 def test_space_registry_lifecycle(world):

@@ -152,3 +152,21 @@ def test_packed_pool_matches_the_reference_model(seed):
                 key for key in ref.lru if key[0] == space_id
             ]
         assert [key in mem for key in keys] == [key in ref.lru for key in keys]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_claim_is_allocate_per_page(seed):
+    """A bulk claim equals one allocate per index: refreshed frames
+    move to the end, and victims come back in eviction order."""
+    rng = random.Random(seed)
+    frames = rng.randint(1, 12)
+    mem = PhysicalMemory(frames)
+    ref = _ReferencePool(frames)
+    for _ in range(60):
+        space = rng.choice((1, 2, 3))
+        indices = rng.sample(range(16), rng.randint(0, 10))
+        victims = [ref.allocate((space, index)) for index in indices]
+        assert mem.claim(space, indices) == [
+            victim for victim in victims if victim is not None
+        ]
+        assert mem.resident_keys() == list(ref.lru)

@@ -7,6 +7,7 @@ from repro.accent.constants import PAGE_SIZE
 from repro.accent.vm.accessibility import BAD_MEM, REAL_MEM, REAL_ZERO_MEM
 from repro.accent.vm.address_space import AddressSpace
 from repro.accent.vm.page import Page
+from tests.workloads.test_bulk_build import per_page_amap
 
 REGION_PAGES = 48
 
@@ -87,3 +88,40 @@ def test_accessibility_total_function(build):
             assert klass in (REAL_MEM, REAL_ZERO_MEM)
         else:
             assert klass is BAD_MEM
+
+
+@st.composite
+def mixed_space(draw):
+    """Validated, imaginary (two handles) and unmapped stretches, pages
+    installed in a random order, then some ranges invalidated."""
+    space = AddressSpace()
+    cursor = 0
+    stretches = st.tuples(
+        st.sampled_from(["validated", "h0", "h1", None]), st.integers(1, 8)
+    )
+    for kind, length in draw(st.lists(stretches, min_size=1, max_size=8)):
+        if kind == "validated":
+            space.validate(cursor * PAGE_SIZE, length * PAGE_SIZE)
+        elif kind is not None:
+            space.map_imaginary(cursor * PAGE_SIZE, length * PAGE_SIZE, kind)
+        cursor += length
+    mapped = [
+        index for index in range(cursor)
+        if space.region_at(index * PAGE_SIZE) is not None
+    ]
+    if mapped:
+        for index in draw(st.lists(st.sampled_from(mapped), unique=True)):
+            space.install_page(index, Page(bytes([index % 256])))
+    drops = st.tuples(st.integers(0, cursor - 1), st.integers(1, 4))
+    for start, length in draw(st.lists(drops, max_size=3)):
+        length = min(length, cursor - start)
+        space.invalidate(start * PAGE_SIZE, length * PAGE_SIZE)
+    return space
+
+
+@given(mixed_space())
+@settings(max_examples=200)
+def test_amap_equals_the_per_page_amap(space):
+    """``amap()`` emits one run per page run; the map equals the one
+    built a page at a time."""
+    assert list(space.amap().runs()) == list(per_page_amap(space).runs())

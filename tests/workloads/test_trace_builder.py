@@ -1,5 +1,6 @@
 """Unit tests for trace generation, content and the builder."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -8,9 +9,10 @@ import pytest
 
 from repro.accent.constants import PAGE_SIZE
 from repro.accent.vm.address_space import Residency
+from repro.calibration import DEFAULT_CALIBRATION
 from repro.sim import SeededStreams
 from repro.testbed import Testbed
-from repro.workloads.builder import build_process
+from repro.workloads.builder import _check_footprint, build_process
 from repro.workloads.content import (
     WRITE_MARKER,
     page_head,
@@ -141,6 +143,27 @@ def test_builder_lisp_is_fast_despite_4gb(world):
     built = build_process(world.source, WORKLOADS["lisp-t"], world.streams)
     assert time.time() - start < 5.0
     assert built.process.space.total_bytes == 4_228_129_280
+
+
+@pytest.mark.parametrize("field, wrong", [
+    ("real_bytes", PAGE_SIZE), ("total_bytes", PAGE_SIZE),
+    ("resident_bytes", -PAGE_SIZE), ("real_runs", 1),
+])
+def test_footprint_check_names_each_mismatch(world, field, wrong):
+    spec = WORKLOADS["minprog"]
+    built = build_process(world.source, spec, world.streams)
+    off = dataclasses.replace(spec, **{field: getattr(spec, field) + wrong})
+    message = {"real_bytes": "real=", "total_bytes": "total=",
+               "resident_bytes": "RS=", "real_runs": "runs="}[field]
+    with pytest.raises(AssertionError, match=message):
+        _check_footprint(off, built.process.space)
+
+
+def test_builder_refuses_a_frame_pool_smaller_than_the_resident_set():
+    calibration = dataclasses.replace(DEFAULT_CALIBRATION, frame_count=8)
+    world = Testbed(seed=31, calibration=calibration).world()
+    with pytest.raises(RuntimeError, match="frame pool too small"):
+        build_process(world.source, WORKLOADS["minprog"], world.streams)
 
 
 def page_table_digest(name, seed):
