@@ -7,6 +7,7 @@ path — touching a resident page — returns ``None`` so workloads pay
 nothing for it, mirroring a real TLB hit.
 """
 
+from bisect import bisect_left, bisect_right
 from itertools import groupby, repeat
 
 from repro.accent.constants import PAGE_SIZE
@@ -300,16 +301,24 @@ class Kernel:
     @staticmethod
     def _owed_sections(space):
         """IOU sections for pages the space itself still held imaginary
-        (e.g. a process being migrated a second time)."""
+        (e.g. a process being migrated a second time): the gaps between
+        the page runs inside each imaginary region."""
+        firsts, lasts = space._page_runs()
         owed_by_handle = {}
         for run_start, run_end, value in space.regions.runs():
             if not isinstance(value, ImaginaryMapping):
                 continue
-            first = run_start // PAGE_SIZE
+            cursor = run_start // PAGE_SIZE
             last = (run_end - 1) // PAGE_SIZE
-            for index in range(first, last + 1):
-                if space.entry(index) is None:
-                    owed_by_handle.setdefault(value.handle, []).append(index)
+            lo = bisect_left(lasts, cursor)
+            hi = bisect_right(firsts, last)
+            owed = []
+            for first, run_last in zip(firsts[lo:hi], lasts[lo:hi]):
+                owed.extend(range(cursor, first))
+                cursor = run_last + 1
+            owed.extend(range(cursor, last + 1))
+            if owed:
+                owed_by_handle.setdefault(value.handle, []).extend(owed)
         return [
             IOUSection(handle, indices, label="inherited-iou")
             for handle, indices in owed_by_handle.items()

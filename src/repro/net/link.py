@@ -4,17 +4,18 @@ The medium is a capacity-1 resource: one frame serialises at a time in
 either direction (CSMA).  Propagation latency is added after the medium
 is released, so back-to-back fragments pipeline.
 
+A frame crosses in two stages that the NetMsgServer's fragment chain
+(``repro.net.netmsgserver._Fragment``) calls: :meth:`Link.enter` queues
+it for the medium, and once its serialisation time has passed
+:meth:`Link.settle` releases the medium and decides whether it arrived.
+
 A :class:`~repro.faults.injector.FaultInjector` may attach itself as
 the link's fault model (``link.faults``); it is consulted once per
-frame, after serialisation — a dropped frame burnt its medium time but
+frame, at settlement — a dropped frame burnt its medium time but
 never reaches the far side.  With no model attached every frame is
-delivered and the legacy single-argument ``transmit(nbytes)`` call
-keeps its exact cost profile.  The NetMsgServer's perfect-network
-fragments (``repro.net.netmsgserver._Fragment``) take that same path as
-a callback chain and keep the link's counters at the same points.
+delivered.
 """
 
-from repro.obs.span import NULL_SPAN
 from repro.sim import Resource
 
 
@@ -54,45 +55,43 @@ class Link:
         """
         self.peak_inflight = self.inflight
 
-    def transmit(self, nbytes, source=None, dest=None, span=NULL_SPAN):
-        """Generator: serialise ``nbytes`` onto the medium, then wait
-        out the propagation delay.  Returns True if the frame was
-        delivered, False if the fault model ate it.
+    def enter(self):
+        """Count a frame in flight and queue it for the medium.
 
-        ``source``/``dest`` are the endpoint Hosts; without them (or
-        without an attached fault model) the frame always arrives.
-        ``span`` is the causal span to credit per-frame outcomes to
-        (``frames`` delivered / ``drops`` eaten); the default
-        :data:`NULL_SPAN` discards them for free.  On a perfect
-        network the per-frame counters are skipped entirely — every
-        fragment arrives, so the ship span's ``fragments`` counter
-        already tells the whole story.
+        Returns the medium :class:`~repro.sim.resource.Request`; once
+        it is granted the frame serialises for ``nbytes * 8`` over
+        ``link_bandwidth_bps`` seconds, then goes to :meth:`settle`.
         """
-        calibration = self.calibration
         self.inflight += 1
         if self.inflight > self.peak_inflight:
             self.peak_inflight = self.inflight
-        try:
-            with self.medium.held() as req:
-                yield req
-                yield self.engine.timeout(
-                    (nbytes * 8.0) / calibration.link_bandwidth_bps
-                )
-        finally:
-            self.inflight -= 1
+        return self.medium.request()
+
+    def settle(self, req, nbytes, source, dest, span):
+        """Release a serialised frame's medium slot (``req``, from
+        :meth:`enter`) and decide its fate.
+
+        Returns True if the frame was delivered (it then arrives
+        ``link_latency_s`` later), False if the fault model ate it.
+        ``source``/``dest`` are the endpoint Hosts the fault model
+        judges.  With a model attached, ``span`` is credited
+        per-frame outcomes (``frames`` delivered / ``drops`` eaten);
+        on a perfect network every frame arrives, so the ship span's
+        ``fragments`` counter already tells the whole story.
+        """
+        self.medium.release(req)
+        self.inflight -= 1
         faults = self.faults
         if faults is not None:
-            if source is not None and dest is not None:
-                reason = faults.should_drop(source, dest, self.engine.now)
-                if reason is not None:
-                    self.drops += 1
-                    faults.record_drop(reason)
-                    span.add("drops")
-                    return False
+            reason = faults.should_drop(source, dest, self.engine.now)
+            if reason is not None:
+                self.drops += 1
+                faults.record_drop(reason)
+                span.add("drops")
+                return False
             span.add("frames")
         self.frames += 1
         self.bytes += nbytes
-        yield self.engine.timeout(calibration.link_latency_s)
         return True
 
     def utilisation(self):

@@ -104,12 +104,11 @@ class NetMsgServer:
         """Generator: deliver ``message`` to its port on ``dest_host``.
 
         Completes when the reassembled message is enqueued at the
-        destination port.  Fragments pipeline through the three stage
-        resources (source CPU, link medium, destination CPU): on a
-        perfect network (no fault model attached) each under the
-        paper-calibrated cost model as a :class:`_Fragment` callback
-        chain, and with a FaultInjector attached each under the reliable
-        transport of :meth:`_reliable_fragment`.
+        destination port.  Each fragment is a :class:`_Fragment`
+        callback chain that pipelines through the three stage resources
+        (source CPU, link medium, destination CPU) under the
+        paper-calibrated cost model; with a FaultInjector attached it
+        also runs the reliable transport (acks and retransmission).
         """
         link, peer = self.route_to(dest_host)
         obs = self.host.metrics.obs
@@ -165,19 +164,10 @@ class NetMsgServer:
             pipes = []
             name = f"frag-{message.op}"
             for size in fragment_sizes:
-                hop = calibration.nms_hop_s(size)
-                if link.faults is None:
-                    pipe = _Fragment(
-                        self, size, link, peer, message.op, phase, hop, name
-                    ).done
-                else:
-                    pipe = self.engine.process(
-                        self._reliable_fragment(
-                            size, link, peer, message.op, hop, ship_span,
-                            phase,
-                        ),
-                        name=name,
-                    )
+                pipe = _Fragment(
+                    self, size, link, peer, message.op, phase,
+                    calibration.nms_hop_s(size), ship_span, name,
+                ).done
                 # The all_of below owns every fragment's failure: the
                 # first one fails the shipment, and siblings failing
                 # later (or at the same instant) are already accounted.
@@ -195,78 +185,6 @@ class NetMsgServer:
             yield message.dest.enqueue(delivered)
         finally:
             ship_span.finish()
-
-    def _reliable_fragment(self, wire_bytes, link, peer, category, hop, span,
-                           phase=None):
-        """Deliver one fragment over a faulty wire, or die trying.
-
-        The sender keeps the fragment until a positive ack returns; a
-        lost data frame *or* a lost ack triggers a retransmission
-        after the (exponentially backed-off, capped) timeout.  The
-        receiver only pays the handling CPU cost for the first copy of
-        a sequence number — later copies are suppressed as duplicates,
-        though each still re-acks so the sender can stop.
-
-        Each retransmission cycle (backoff wait + retried attempt)
-        opens a ``retransmit`` child under the ship span, closed when
-        the retry resolves — an ack, a further retransmit, or failure.
-        """
-        calibration = self.calibration
-        seq = (self.host.name, next(self._seq))
-        timeout = calibration.retransmit_timeout_s
-        attempts = 0
-        retry_span = NULL_SPAN
-        try:
-            while True:
-                attempts += 1
-                if self.host.crashed:
-                    raise TransportError(
-                        f"{self.host.name} crashed while sending {category}"
-                    )
-                with self.cpu.held() as req:
-                    yield req
-                    yield self.engine.timeout(hop)
-                self.host.metrics.record_nms(self.host.name, hop)
-                delivered = yield from link.transmit(
-                    wire_bytes, source=self.host, dest=peer.host, span=span
-                )
-                if delivered:
-                    self.host.metrics.record_link(
-                        wire_bytes, category, self.host.name, peer.host.name,
-                        phase=phase,
-                    )
-                    if seq in peer._seen_seqs:
-                        self._duplicates.inc(1, host=peer.host.name)
-                    else:
-                        peer._seen_seqs.add(seq)
-                        with peer.cpu.held() as req:
-                            yield req
-                            yield self.engine.timeout(hop)
-                        self.host.metrics.record_nms(peer.host.name, hop)
-                    acked = yield from link.transmit(
-                        calibration.ack_wire_bytes,
-                        source=peer.host, dest=self.host, span=span,
-                    )
-                    if acked:
-                        return
-                if attempts >= calibration.retransmit_max_attempts:
-                    raise TransportError(
-                        f"fragment of {category} from {self.host.name} to "
-                        f"{peer.host.name} undeliverable after {attempts} attempts"
-                    )
-                self._retransmits.inc(1, host=self.host.name)
-                span.add("retransmits")
-                retry_span.finish()
-                retry_span = span.child(
-                    "retransmit", attempt=attempts + 1, backoff_s=timeout
-                )
-                yield self.engine.timeout(timeout)
-                timeout = min(
-                    timeout * calibration.retransmit_backoff_factor,
-                    calibration.retransmit_timeout_cap_s,
-                )
-        finally:
-            retry_span.finish()
 
     # -- IOU caching ----------------------------------------------------------------
     def _substitute_ious(self, message, ship_span=NULL_SPAN):
@@ -414,7 +332,7 @@ class NetMsgServer:
 
 
 class _Fragment:
-    """One fragment's passage on a perfect network: src NMS -> link -> dst NMS.
+    """One fragment's passage: src NMS -> link -> dst NMS.
 
     A callback chain, not a generator process: each step is the callback
     of the event the previous one created, which costs less host time
@@ -422,26 +340,33 @@ class _Fragment:
     events a generator process running the same steps would, so event
     counts, kinds and order, and every hash built on them, do not
     depend on which of the two runs (``tests/net/test_fragment_chain.py``
-    keeps that generator as the oracle):
+    keeps those generators as the oracle):
 
     * an init ``Event``, scheduled on creation;
     * the source-CPU ``Request`` and its hop ``Timeout``;
-    * the medium ``Request``, the serialisation ``Timeout`` and the
-      latency ``Timeout``, keeping the :class:`~repro.net.link.Link`
-      counters as ``Link.transmit`` does;
+    * per frame, the medium ``Request`` (``Link.enter``), the
+      serialisation ``Timeout`` and, if ``Link.settle`` delivers the
+      frame, the latency ``Timeout``;
     * the destination-CPU ``Request`` and its hop ``Timeout``;
     * :attr:`done`, a ``Process`` named ``frag-<op>``.
 
-    Each slot is released, and each ``record_nms``/``record_link`` made,
-    at the point the generator would; bytes are credited to ``phase``,
-    resolved by the sender at ship time.
+    With a fault model on the link it is also the reliable transport:
+    the init event draws a sequence number, each attempt checks that
+    the source is up, a duplicate skips the receiver's CPU hold, and an
+    ack frame returns through the same link stages.  A lost frame opens
+    a ``retransmit`` child of ``span`` and restarts at the source CPU
+    after a backed-off ``Timeout``; out of attempts, or with the source
+    down, :attr:`done` fails with ``TransportError``.  Each slot is
+    released, and each ``record_*`` made, where the generator did;
+    bytes are credited to ``phase``, resolved by the sender at ship time.
     """
 
     __slots__ = ("nms", "wire_bytes", "link", "peer", "category", "phase",
-                 "hop", "req", "done")
+                 "hop", "span", "req", "done", "acking", "frame_bytes", "seq",
+                 "attempts", "backoff", "retry_span")
 
     def __init__(self, nms, wire_bytes, link, peer, category, phase, hop,
-                 name):
+                 span, name):
         engine = nms.engine
         self.nms = nms
         self.wire_bytes = wire_bytes
@@ -450,17 +375,38 @@ class _Fragment:
         self.category = category
         self.phase = phase
         self.hop = hop
+        self.span = span
         self.req = None
+        #: The sequence number, or None on a perfect network.
+        self.seq = None
         #: The completion event: what the shipment waits on.
         self.done = Process.chained(engine, name)
         init = Event(engine)
         init._ok = True
         init._value = None
-        init.callbacks.append(self._start)
+        init.callbacks.append(
+            self._attempt if link.faults is None else self._start_reliable
+        )
         engine._ready(init)
 
-    def _start(self, _init):
-        req = self.req = self.nms.cpu.request()
+    def _start_reliable(self, init):
+        nms = self.nms
+        self.seq = (nms.host.name, next(nms._seq))
+        self.attempts = 0
+        self.backoff = nms.calibration.retransmit_timeout_s
+        self.retry_span = NULL_SPAN
+        self._attempt(init)
+
+    def _attempt(self, _event):
+        nms = self.nms
+        if self.seq is not None:
+            self.attempts += 1
+            if nms.host.crashed:
+                self._fail(
+                    f"{nms.host.name} crashed while sending {self.category}"
+                )
+                return
+        req = self.req = nms.cpu.request()
         req.callbacks.append(self._source_granted)
 
     def _source_granted(self, _req):
@@ -470,29 +416,37 @@ class _Fragment:
         nms = self.nms
         nms.cpu.release(self.req)
         nms.host.metrics.record_nms(nms.host.name, self.hop)
-        link = self.link
-        link.inflight += 1
-        if link.inflight > link.peak_inflight:
-            link.peak_inflight = link.inflight
-        req = self.req = link.medium.request()
+        self._send(False)
+
+    def _send(self, acking):
+        """Enter a data frame (or, ``acking``, the ack frame) on the link."""
+        self.acking = acking
+        self.frame_bytes = (
+            self.link.calibration.ack_wire_bytes if acking else self.wire_bytes
+        )
+        req = self.req = self.link.enter()
         req.callbacks.append(self._medium_granted)
 
     def _medium_granted(self, _req):
         link = self.link
         Timeout(
             link.engine,
-            (self.wire_bytes * 8.0) / link.calibration.link_bandwidth_bps,
+            (self.frame_bytes * 8.0) / link.calibration.link_bandwidth_bps,
         ).callbacks.append(self._serialised)
 
     def _serialised(self, _serialisation):
         link = self.link
-        link.medium.release(self.req)
-        link.inflight -= 1
-        link.frames += 1
-        link.bytes += self.wire_bytes
+        source = self.nms.host
+        dest = self.peer.host
+        if self.acking:
+            source, dest = dest, source
+        if not link.settle(self.req, self.frame_bytes, source, dest,
+                           self.span):
+            self._lost()
+            return
         Timeout(
             link.engine, link.calibration.link_latency_s
-        ).callbacks.append(self._arrived)
+        ).callbacks.append(self._acked if self.acking else self._arrived)
 
     def _arrived(self, _latency):
         nms = self.nms
@@ -501,6 +455,13 @@ class _Fragment:
             self.wire_bytes, self.category, nms.host.name, peer.host.name,
             phase=self.phase,
         )
+        seq = self.seq
+        if seq is not None:
+            if seq in peer._seen_seqs:
+                nms._duplicates.inc(1, host=peer.host.name)
+                self._send(True)
+                return
+            peer._seen_seqs.add(seq)
         req = self.req = peer.cpu.request()
         req.callbacks.append(self._dest_granted)
 
@@ -511,4 +472,37 @@ class _Fragment:
         peer = self.peer
         peer.cpu.release(self.req)
         self.nms.host.metrics.record_nms(peer.host.name, self.hop)
+        if self.seq is None:
+            self.done.succeed()
+        else:
+            self._send(True)
+
+    def _acked(self, _latency):
+        self.retry_span.finish()
         self.done.succeed()
+
+    def _lost(self):
+        nms = self.nms
+        calibration = nms.calibration
+        attempts = self.attempts
+        if attempts >= calibration.retransmit_max_attempts:
+            self._fail(
+                f"fragment of {self.category} from {nms.host.name} to "
+                f"{self.peer.host.name} undeliverable after {attempts} attempts"
+            )
+            return
+        nms._retransmits.inc(1, host=nms.host.name)
+        self.span.add("retransmits")
+        self.retry_span.finish()
+        self.retry_span = self.span.child(
+            "retransmit", attempt=attempts + 1, backoff_s=self.backoff
+        )
+        Timeout(nms.engine, self.backoff).callbacks.append(self._attempt)
+        self.backoff = min(
+            self.backoff * calibration.retransmit_backoff_factor,
+            calibration.retransmit_timeout_cap_s,
+        )
+
+    def _fail(self, reason):
+        self.retry_span.finish()
+        self.done.fail(TransportError(reason))

@@ -1,10 +1,31 @@
-"""Unit tests for the shared-medium link."""
+"""Unit tests for the shared-medium link.
+
+A frame crosses in the two stages the fragment chain calls:
+``Link.enter`` queues it for the medium, and after its serialisation
+time ``Link.settle`` releases the medium and decides its fate.
+:func:`frame` drives them as the chain does.
+"""
 
 import pytest
 
 from repro.net.link import Link
+from repro.obs.span import NULL_SPAN, Tracer
 from repro.sim import Engine
 from repro.calibration import Calibration
+
+
+def frame(link, nbytes, source="a", dest="b", span=NULL_SPAN):
+    """Generator: one frame through the link's stages; returns whether
+    it was delivered (after the propagation latency if it was)."""
+    engine = link.engine
+    calibration = link.calibration
+    req = link.enter()
+    yield req
+    yield engine.timeout((nbytes * 8.0) / calibration.link_bandwidth_bps)
+    if not link.settle(req, nbytes, source, dest, span):
+        return False
+    yield engine.timeout(calibration.link_latency_s)
+    return True
 
 
 def test_transmit_time_is_serialisation_plus_latency():
@@ -12,10 +33,8 @@ def test_transmit_time_is_serialisation_plus_latency():
     calibration = Calibration()
     link = Link(eng, calibration)
 
-    def sender():
-        yield from link.transmit(1250)  # 1250 B at 10 Mbit/s = 1 ms
-
-    eng.run(until=eng.process(sender()))
+    # 1250 B at 10 Mbit/s = 1 ms
+    eng.run(until=eng.process(frame(link, 1250)))
     assert eng.now == pytest.approx(0.001 + calibration.link_latency_s)
     assert link.frames == 1
     assert link.bytes == 1250
@@ -28,7 +47,7 @@ def test_medium_serialises_but_latency_overlaps():
     done = []
 
     def sender(tag):
-        yield from link.transmit(12500)  # 10 ms serialisation
+        yield from frame(link, 12500)  # 10 ms serialisation
         done.append((tag, eng.now))
 
     eng.process(sender("a"))
@@ -44,10 +63,7 @@ def test_utilisation_reflects_busy_medium():
     eng = Engine()
     link = Link(eng, Calibration(link_latency_s=0.0))
 
-    def sender():
-        yield from link.transmit(125_000)  # 100 ms
-
-    eng.run(until=eng.process(sender()))
+    eng.run(until=eng.process(frame(link, 125_000)))  # 100 ms
     assert link.utilisation() == pytest.approx(1.0)
 
 
@@ -56,8 +72,10 @@ class _AlwaysDrop:
 
     def __init__(self):
         self.recorded = []
+        self.asked = []
 
     def should_drop(self, source, dest, now):
+        self.asked.append((source, dest, now))
         return "loss"
 
     def record_drop(self, reason):
@@ -67,13 +85,12 @@ class _AlwaysDrop:
 def test_transmit_returns_true_when_delivered():
     eng = Engine()
     link = Link(eng, Calibration())
+    span = Tracer(clock=lambda: eng.now).span("ship")
 
-    def sender():
-        delivered = yield from link.transmit(1250, source="a", dest="b")
-        return delivered
-
-    assert eng.run(until=eng.process(sender())) is True
+    assert eng.run(until=eng.process(frame(link, 1250, span=span))) is True
     assert link.drops == 0
+    # Without a fault model the span is not credited per frame.
+    assert span.counters == {}
 
 
 def test_dropped_frame_burns_medium_time_but_is_not_counted():
@@ -81,36 +98,46 @@ def test_dropped_frame_burns_medium_time_but_is_not_counted():
     calibration = Calibration()
     link = Link(eng, calibration)
     link.faults = _AlwaysDrop()
+    span = Tracer(clock=lambda: eng.now).span("ship")
 
-    def sender():
-        delivered = yield from link.transmit(1250, source="a", dest="b")
-        return delivered
-
-    delivered = eng.run(until=eng.process(sender()))
+    delivered = eng.run(until=eng.process(frame(link, 1250, span=span)))
     assert delivered is False
     assert link.drops == 1
     assert link.faults.recorded == ["loss"]
+    # Judged once, on its endpoints, when serialisation ended.
+    assert link.faults.asked == [("a", "b", pytest.approx(0.001))]
+    assert span.counters == {"drops": 1}
     # The frame never arrived: no delivery accounting...
     assert link.frames == 0
     assert link.bytes == 0
+    assert (link.inflight, link.medium.count) == (0, 0)
     # ...and no propagation latency — only the 1 ms serialisation burnt.
     assert eng.now == pytest.approx(0.001)
 
 
-def test_fault_model_is_skipped_without_endpoints():
-    """Legacy transmit(nbytes) calls bypass the fault model entirely."""
+def test_settle_credits_delivered_frames_under_a_fault_model():
     eng = Engine()
     link = Link(eng, Calibration())
     link.faults = _AlwaysDrop()
+    link.faults.should_drop = lambda source, dest, now: None
+    span = Tracer(clock=lambda: eng.now).span("ship")
 
-    def sender():
-        delivered = yield from link.transmit(1250)
-        return delivered
+    assert eng.run(until=eng.process(frame(link, 1250, span=span))) is True
+    assert span.counters == {"frames": 1}
+    assert (link.frames, link.bytes, link.drops) == (1, 1250, 0)
 
-    assert eng.run(until=eng.process(sender())) is True
-    assert link.drops == 0
-    assert link.faults.recorded == []
-    assert link.frames == 1
+
+def test_enter_counts_queued_frames_in_flight():
+    eng = Engine()
+    link = Link(eng, Calibration())
+    first = link.enter()
+    second = link.enter()
+    assert (link.inflight, link.peak_inflight) == (2, 2)
+    assert (link.medium.count, link.medium.queued) == (1, 1)
+    # Settling the first hands the medium to the second.
+    assert link.settle(first, 100, "a", "b", NULL_SPAN)
+    assert (link.inflight, link.peak_inflight) == (1, 2)
+    assert link.medium.count == 1 and second.triggered
 
 
 def test_reset_peaks_rearms_to_current_inflight():
@@ -118,11 +145,8 @@ def test_reset_peaks_rearms_to_current_inflight():
     eng = Engine()
     link = Link(eng, Calibration())
 
-    def sender():
-        yield from link.transmit(1250)
-
-    eng.process(sender())
-    eng.process(sender())
+    eng.process(frame(link, 1250))
+    eng.process(frame(link, 1250))
     eng.run()
     assert link.peak_inflight == 2
     assert link.inflight == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Interrupt, SimulationError
+from repro.sim import Engine, Interrupt, Process, SimulationError
 from repro.sim.errors import StopProcess
 
 
@@ -153,6 +153,19 @@ def test_interrupt_dead_process_rejected():
     eng.run()
     with pytest.raises(SimulationError):
         proc.interrupt()
+
+
+def test_interrupt_callback_chain_rejected():
+    """A chained process has no generator to throw into."""
+    eng = Engine()
+    chain = Process.chained(eng, "frag-test")
+    with pytest.raises(SimulationError, match="cannot interrupt callback"):
+        chain.interrupt()
+    # The refusal scheduled nothing and left the chain to finish itself.
+    assert eng.peek() == float("inf") and chain.is_alive
+    chain.succeed("done")
+    assert eng.run(until=chain) == "done"
+    assert repr(chain) == "<Process frag-test dead>"
 
 
 def test_interrupted_target_event_still_fires_without_resuming():

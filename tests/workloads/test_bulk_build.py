@@ -2,11 +2,13 @@
 
 The builder (``build_process``), insertion (``Kernel.install_run``,
 which the Fitzgerald stages share) and ``AddressSpace.amap()`` work on
-whole runs of pages.  They must leave exactly the state the per-page
-forms they replaced left.  This file keeps those forms as oracles —
-:func:`per_page_build` (the builder's loop), :func:`per_page_rebuild`
-(insertion, one frame claim and one install per page) and
-:func:`per_page_amap` (one ``add_run`` per page) — and compares:
+whole runs of pages, and so does excision's ``Kernel._owed_sections``.
+They must leave exactly the state the per-page forms they replaced
+left.  This file keeps those forms as oracles — :func:`per_page_build`
+(the builder's loop), :func:`per_page_rebuild` (insertion, one frame
+claim and one install per page), :func:`per_page_amap` (one ``add_run``
+per page) and :func:`per_page_owed_sections` (one ``space.entry``
+probe per imaginary page) — and compares:
 
 * the page table, in dict order: index, residency, ``last_touch``,
   ``prefetched`` and page bytes, plus the sorted index list and the
@@ -16,13 +18,15 @@ forms they replaced left.  This file keeps those forms as oracles —
   page its table holds;
 * the workload stream's ``getstate()`` after the build;
 * the AMap runs, and that ``amap()`` equals :func:`per_page_amap` on
-  every space compared.
+  every space compared;
+* each excision's IOU sections: handles, page indices, labels, order.
 
 Every catalogued workload is built at seeds 1987 and 31.  Insertion
 rebuilds each excised workload into a 4-frame pool, so most victims
 are pages of the space being rebuilt; it ships every page, or only the
 resident set with the rest owed, or moves the process a second hop so
-the AMap carries imaginary runs.
+the AMap carries imaginary runs (some owed pages faulted in first, so
+excision walks imaginary regions that hold pages).
 """
 
 import bisect
@@ -35,7 +39,9 @@ from repro.accent.ipc.port import PortRight, RECEIVE, SEND
 from repro.accent.kernel import Kernel, KernelError
 from repro.accent.process import AccentProcess
 from repro.accent.vm.accessibility import IMAG_MEM, REAL_MEM, REAL_ZERO_MEM
-from repro.accent.vm.address_space import AddressSpace, Residency, VALIDATED
+from repro.accent.vm.address_space import (
+    AddressSpace, ImaginaryMapping, Residency, VALIDATED,
+)
 from repro.accent.vm.amap import AMap
 from repro.accent.vm.page import Page
 from repro.testbed import Testbed
@@ -147,6 +153,24 @@ def per_page_rebuild(kernel, space, amap, shipped, owed):
             subrun.append(index)
         if subrun:
             apply_subrun(subrun, mode)
+
+
+def per_page_owed_sections(space):
+    """Excision's IOU sections, one ``space.entry`` probe per page of
+    each imaginary region."""
+    owed_by_handle = {}
+    for run_start, run_end, value in space.regions.runs():
+        if not isinstance(value, ImaginaryMapping):
+            continue
+        first = run_start // PAGE_SIZE
+        last = (run_end - 1) // PAGE_SIZE
+        for index in range(first, last + 1):
+            if space.entry(index) is None:
+                owed_by_handle.setdefault(value.handle, []).append(index)
+    return [
+        IOUSection(handle, indices, label="inherited-iou")
+        for handle, indices in owed_by_handle.items()
+    ]
 
 
 def per_page_amap(space):
@@ -264,9 +288,10 @@ def inserted(name, shipment):
     """Excise ``name`` from alpha and insert it into a 4-frame beta.
 
     ``shipment`` "all" ships every page; "resident" ships the resident
-    set and owes the rest; "second-hop" then moves the process on from
-    beta back into a 4-frame alpha, so insertion meets the imaginary
-    runs of the AMap beta excises.
+    set and owes the rest; "second-hop" then faults some owed pages in
+    at beta and moves the process on back into a 4-frame
+    alpha, so insertion meets the imaginary runs of the AMap beta
+    excises, with real pages among them.
     """
     world = Testbed(seed=1987).world()
     build_process(world.source, WORKLOADS[name], world.streams)
@@ -277,6 +302,16 @@ def inserted(name, shipment):
     other = small_pool(host)
     process = run(world, host.kernel.insert_process(core, rimas))
     if shipment == "second-hop":
+        # Fault the first owed run and every third owed page in, as
+        # imaginary faults would, so the imaginary regions the next
+        # excision walks hold pages (one of them nothing but pages).
+        owed = rimas.first_section(IOUSection)
+        (first, last), *_ = owed.runs()
+        faulted = set(range(first, last + 1)).union(owed.page_indices[::3])
+        for index in sorted(faulted):
+            per_page_install(
+                host.kernel, process.space, index, Page(bytes([index % 251]))
+            )
         core, rimas = run(world, host.kernel.excise_process(name))
         host = world.source
         other = small_pool(host)
@@ -287,7 +322,25 @@ def inserted(name, shipment):
 @pytest.mark.parametrize("shipment", ["all", "resident", "second-hop"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_insertion_matches_per_page_rebuild(name, shipment, monkeypatch):
+    # Each excision's IOU sections, beside the per-page oracle's.
+    owed = []
+    owed_sections = Kernel._owed_sections
+
+    def checked(space):
+        sections = owed_sections(space)
+        owed.append([
+            [(section.handle, section.page_indices, section.label)
+             for section in found]
+            for found in (sections, per_page_owed_sections(space))
+        ])
+        return sections
+
+    monkeypatch.setattr(Kernel, "_owed_sections", staticmethod(checked))
     bulk = inserted(name, shipment)
+    # The second hop re-excises a space that owes pages.
+    assert any(ours for ours, _ in owed) == (shipment == "second-hop")
+    for ours, oracle in owed:
+        assert ours == oracle
     monkeypatch.setattr(Kernel, "_rebuild_space", per_page_rebuild)
     monkeypatch.setattr(Kernel, "install_run", per_page_install_run)
     oracle = inserted(name, shipment)
