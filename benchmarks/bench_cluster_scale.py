@@ -7,20 +7,17 @@ The artifact lands in ``BENCH_cluster_scale.json`` at the repo root,
 together with the determinism hash of the default-cap run (two
 executions of this benchmark must agree byte for byte).
 
-The headline claims checked here:
+The headline claims its ``GATE`` checks:
 
 * at the default cap the cluster sustains >= 4 concurrent in-flight
   migrations (the tentpole acceptance bar), and
 * raising the cap trades queueing delay for concurrency without ever
-  violating the per-host limit.
+  violating the per-host limit: no host exceeds its cap, and the peak
+  queue depth never grows as the cap rises.
 
 Gate a fresh run against the committed artifact (and rewrite it)::
 
     PYTHONPATH=src python -m benchmarks.gate cluster_scale
-
-or through pytest::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_cluster_scale.py
 """
 
 import time
@@ -46,6 +43,8 @@ GATE = {
     "targets": (
         ("rows.*.verified", "==", True),
         (f"rows.{DEFAULT_CAP}.sustained_inflight", ">=", "sustained_target"),
+        *((f"rows.{cap}.peak_host_inflight", "<=", cap) for cap in CAPS),
+        ("queue_shrinks_as_cap_grows", "==", True),
     ),
     "tables": {"rows": (
         "inflight_cap", "outcomes.completed", "throughput_per_s",
@@ -100,25 +99,9 @@ def measure():
         "default_cap": DEFAULT_CAP,
         "determinism_hash": default_hash,
         "sustained_target": SUSTAINED_TARGET,
+        "queue_shrinks_as_cap_grows": all(
+            tight["peak_queue_depth"] >= loose["peak_queue_depth"]
+            for tight, loose in zip(rows, rows[1:])
+        ),
     }
 
-
-def test_default_cap_sustains_target_concurrency():
-    """The acceptance bar: >= 4 migrations concurrently in flight,
-    held for at least a second of simulated time, with p99 freeze
-    recorded."""
-    result, _ = run_point(DEFAULT_CAP)
-    assert result.verified
-    assert result.sustained_inflight >= SUSTAINED_TARGET
-    assert result.freeze_percentile(0.99) is not None
-
-
-def test_cap_sweep_is_monotone_in_queueing():
-    """Tighter caps queue more: peak queue depth never increases with
-    the cap, and the per-host limit holds at every point."""
-    depths = []
-    for cap in CAPS:
-        result, _ = run_point(cap)
-        assert result.peak_host_inflight <= cap
-        depths.append(result.peak_queue)
-    assert depths == sorted(depths, reverse=True)

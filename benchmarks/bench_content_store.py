@@ -14,21 +14,20 @@ destination.  Arms:
 * ``dedup-copy`` — store + wire dedup under pure-copy: bulk shipments
   replace pages beta already holds with 20-byte content references.
 
-The headline claims checked here:
+The headline claims its ``GATE`` checks:
 
 * pure-IOU with the store cuts **bytes on the wire by >= 1.5x** and
-  total imaginary-fault stall measurably (the tentpole acceptance
-  bar), and
+  total imaginary-fault stall measurably, serving later siblings'
+  faults from the local cache (the tentpole acceptance bar);
+* pure-copy dedup replaces sibling pages with content references and
+  saves at least as many bytes as it still ships, so it at least
+  halves the copy (the wire drops by no less than the bytes saved);
 * the ``off`` arm reproduces the store-less protocol exactly (golden
   bytes/stall match, pinned below).
 
 Gate a fresh run against the committed artifact (and rewrite it)::
 
     PYTHONPATH=src python -m benchmarks.gate content_store
-
-or through pytest::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_content_store.py
 """
 
 from repro.migration.plan import TransferOptions
@@ -69,6 +68,9 @@ GATE = {
         ("off_matches_golden", "==", True),
         ("bytes_reduction", ">=", "bytes_target"),
         ("stall_reduction", ">", 1.0),
+        ("rows.store.local_hits", ">", 0),
+        ("rows.dedup-copy.dedup_pages", ">", 0),
+        ("dedup_copy_saves_half", "==", True),
     ),
     "tables": {"rows": (
         "arm", "bytes_total", "stall_s", "local_hits", "dedup_pages",
@@ -165,7 +167,7 @@ def measure():
         row = run_arm(TransferOptions(**kwargs))
         row["arm"] = arm
         rows[arm] = row
-    off, store = rows["off"], rows["store"]
+    off, store, dedup = rows["off"], rows["store"], rows["dedup-copy"]
     return {
         "scenario": {
             "seed": SEED,
@@ -182,31 +184,8 @@ def measure():
         "off_matches_golden": (
             off["bytes_total"], off["stall_s"], off["faults"]
         ) == GOLDEN_OFF,
+        "dedup_copy_saves_half": (
+            dedup["dedup_bytes_saved"] >= dedup["bytes_total"]
+        ),
     }
 
-
-def test_store_off_arm_matches_golden():
-    """The off arm replays the store-less protocol exactly."""
-    row = run_arm(TransferOptions())
-    assert (row["bytes_total"], row["stall_s"], row["faults"]) == GOLDEN_OFF
-    assert row["verified"]
-
-
-def test_store_cuts_bytes_and_stall():
-    """The acceptance bar: >= 1.5x bytes on the fork-sibling workload,
-    plus a measurable stall reduction, with every page verified."""
-    off = run_arm(TransferOptions())
-    store = run_arm(TransferOptions(store=True))
-    assert off["verified"] and store["verified"]
-    assert off["bytes_total"] >= BYTES_TARGET * store["bytes_total"]
-    assert store["stall_s"] < off["stall_s"]
-    assert store["local_hits"] > 0
-
-
-def test_wire_dedup_collapses_bulk_shipment():
-    """Pure-copy dedup replaces sibling pages with content refs."""
-    off = run_arm(TransferOptions(strategy="pure-copy"))
-    dedup = run_arm(TransferOptions(strategy="pure-copy", dedup=True))
-    assert off["verified"] and dedup["verified"]
-    assert dedup["dedup_pages"] > 0
-    assert off["bytes_total"] >= 2.0 * dedup["bytes_total"]

@@ -30,7 +30,7 @@ SCALE = {"rise": 1 + TOLERANCE, "fall": 1 - TOLERANCE}
 #: Host wall-clock seconds: machine noise, never matched exactly.
 HOST_TIME = "wall_s"
 OPS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt,
-       "<": operator.lt}
+       "<=": operator.le, "<": operator.lt}
 #: The suite's host-side end-to-end metrics, one column each.
 SUITE_COLUMNS = ("wall_s", "setup_s", "peak_rss_mb")
 

@@ -1,8 +1,8 @@
 """Programmatic ablation experiments (DESIGN.md §5).
 
 Each function runs one ablation and returns row dicts, so the studies
-are usable from scripts and notebooks as well as from the benchmark
-harness (`benchmarks/bench_ablation_*`).
+are usable from scripts and notebooks as well as from the tests that
+check them (`tests/experiments/test_ablations.py`).
 """
 
 from repro.calibration import Calibration

@@ -212,9 +212,9 @@ class ManagedJob(MigratableJob):
         """Distinct real pages still to be referenced (policy input)."""
         return len(
             {
-                step.page_index
-                for step in self.steps[self.position:]
-                if step.kind == "real"
+                page_index
+                for page_index, _, kind in self.steps.references(self.position)
+                if kind == "real"
             }
         )
 
@@ -222,23 +222,21 @@ class ManagedJob(MigratableJob):
     def _body(self, host):
         # Loop-invariant bindings: the step list, slice length and
         # process identity are fixed for the whole incarnation (a
-        # migration ends this generator and starts a fresh one), so
-        # only the externally-written pause flag and position are
-        # re-read through ``self`` each step.
+        # migration ends this generator and starts a fresh one, which
+        # resumes at ``position``), so only the externally-written
+        # pause flag is re-read through ``self`` each step.
         kernel = host.kernel
         name = self.spec.name
-        steps = self.steps
         compute_slice = self.compute_slice_s
         process = self.process
         result = self.result
-        while self.position < len(steps):
+        for page_index, write, kind in self.steps.references(self.position):
             if self._pause_requested:
                 return "paused"
-            step = steps[self.position]
             yield from cpu_slice(host, compute_slice)
             yield from reference(
-                kernel, process, name, step.page_index, step.write,
-                step.kind != "zero", result.mismatches,
+                kernel, process, name, page_index, write, kind != "zero",
+                result.mismatches,
             )
             result.steps_executed += 1
             self.position += 1

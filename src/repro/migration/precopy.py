@@ -130,10 +130,9 @@ def precopy_migrate(
     # the destination merges its pre-copied stash for the rest.
     region = rimas.first_section(RegionSection)
     position = rimas.sections.index(region)
+    dirty = set(final_dirty)
     final_pages = {
-        index: page
-        for index, page in region.pages.items()
-        if index in set(final_dirty)
+        index: page for index, page in region.pages.items() if index in dirty
     }
     rimas.sections[position] = RegionSection(
         final_pages, force_copy=True, label="precopy-final"

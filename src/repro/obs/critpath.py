@@ -18,6 +18,7 @@ it would double-count.
 Phases answer the paper's Table-4.x questions per run:
 
 =================  ==================================================
+``precopy``        pre-copy rounds while the process still runs (§5)
 ``excise``         ExciseProcess at the source (Table 4-4)
 ``core-ship``      Core context message: setup + ship (§4.3.2's ~1 s)
 ``rimas-ship``     strategy prepare + RIMAS ship (Table 4-5)
@@ -42,6 +43,7 @@ Segment = namedtuple("Segment", "name phase start end")
 
 #: Span names that open a phase; descendants inherit it.
 _PHASE_BY_NAME = {
+    "precopy": "precopy",
     "excise": "excise",
     "core": "core-ship",
     "rimas": "rimas-ship",
@@ -215,7 +217,7 @@ def _arg(span, key):
 # -- rendering -------------------------------------------------------------------
 #: Display order for phase tables.
 _PHASE_ORDER = (
-    "excise", "core-ship", "rimas-ship", "insert",
+    "precopy", "excise", "core-ship", "rimas-ship", "insert",
     "residual-faults", "flusher", "compute", "other",
 )
 

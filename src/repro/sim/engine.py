@@ -229,11 +229,12 @@ class Engine:
         ``priority`` must be one of :data:`URGENT`, :data:`NORMAL`,
         :data:`DEFERRED` (or ``None`` for NORMAL).
         """
+        if priority is None:
+            priority = NORMAL
+        elif not 0 <= priority <= 2:
+            raise SimulationError(f"unknown scheduling priority {priority!r}")
         if delay == 0.0:
-            if priority is None:
-                self._lane_normal.append(event)
-            else:
-                self._lanes[priority].append(event)
+            self._lanes[priority].append(event)
             return
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -242,15 +243,8 @@ class Engine:
         if when == now:
             # A denormal-small delay that rounds back to the current
             # instant — near-lane, so the far lane stays strictly future.
-            if priority is None:
-                self._lane_normal.append(event)
-            else:
-                self._lanes[priority].append(event)
+            self._lanes[priority].append(event)
             return
-        if priority is None:
-            priority = NORMAL
-        elif not 0 <= priority <= 2:
-            raise SimulationError(f"unknown scheduling priority {priority!r}")
         _heappush(self._heap, (when, priority, next(self._seq), event))
 
     def _ready(self, event):

@@ -82,11 +82,11 @@ def remote_body(host, process, trace, result, terminate=True):
     kernel = host.kernel
     name = process.blueprint or result.workload_name
     slice_s = trace.compute_slice_s
-    for step in trace.steps:
+    for page_index, write, kind in trace.steps.references():
         yield from cpu_slice(host, slice_s)
         yield from reference(
-            kernel, process, name, step.page_index, step.write,
-            step.kind != "zero", result.mismatches,
+            kernel, process, name, page_index, write, kind != "zero",
+            result.mismatches,
         )
         result.steps_executed += 1
     if terminate:

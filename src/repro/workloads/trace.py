@@ -3,6 +3,7 @@
 from array import array
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import islice
 
 TraceStep = namedtuple("TraceStep", "page_index write kind")
 TraceStep.__doc__ = (
@@ -59,6 +60,16 @@ class TraceSteps(Sequence):
         for page_index, code in zip(self.page_indices, self.codes):
             yield TraceStep(page_index, *_DECODE[code])
 
+    def references(self, start=0):
+        """Yield each step from ``start`` on as a plain tuple
+        ``(page_index, write, kind)``: the executing bodies' form,
+        without a :class:`TraceStep` per step."""
+        decode = _DECODE
+        steps = zip(self.page_indices, self.codes)
+        for page_index, code in islice(steps, start, None):
+            write, kind = decode[code]
+            yield page_index, write, kind
+
 
 class ReferenceTrace:
     """The ordered references a process makes after migration.
@@ -69,8 +80,11 @@ class ReferenceTrace:
     """
 
     def __init__(self, steps, compute_s):
-        #: The steps in order, as a columnar :class:`TraceSteps`.
-        self.steps = TraceSteps(steps)
+        #: The steps in order, as a columnar :class:`TraceSteps` (kept
+        #: as handed when it already is one).
+        if not isinstance(steps, TraceSteps):
+            steps = TraceSteps(steps)
+        self.steps = steps
         self.compute_s = float(compute_s)
 
     def __len__(self):

@@ -9,6 +9,7 @@ from repro.experiments.figures import (
     figure_4_4,
     figure_4_5,
 )
+from repro.metrics.timeline import Timeline
 from repro.workloads.registry import WORKLOADS
 
 
@@ -131,9 +132,12 @@ def test_figure_4_4_lazy_strategies_beat_copy(matrix):
     """§4.4.2: in every case IOU outperforms pure-copy on message
     handling; RS does too except where its high utilisation makes it a
     wash (PM-Start, the paper's worst case for laziness)."""
-    for row in figure_4_4(matrix):
+    rows = figure_4_4(matrix)
+    for row in rows:
         assert row["iou_pf0"] < row["copy"]
         assert row["rs_pf0"] < row["copy"] * 1.03
+    # ~4,300 Lisp-Del page fragments through both NetMsgServers.
+    assert by_workload(rows)["lisp-del"]["copy"] > 100
 
 
 def test_figure_4_4_single_prefetch_reduces_handling(matrix):
@@ -168,6 +172,7 @@ def test_figure_4_5_signatures(matrix):
     copy_fault = sum(fault for _, fault, _ in copy)
     assert copy_fault == 0
     copy_result = matrix.copy("lisp-del")
+    assert Timeline(1.0).bins(copy_result.link_records)
     exec_start = copy_result.marks["exec.start"]
     assert all(r.time <= exec_start + 1e-6 for r in copy_result.link_records)
 

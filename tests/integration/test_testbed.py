@@ -29,7 +29,7 @@ def test_every_workload_verifies_under_every_strategy(
 
 @pytest.mark.parametrize("prefetch", [1, 3, 7, 15])
 def test_prefetch_preserves_correctness(matrix, prefetch):
-    for workload in ("minprog", "lisp-del", "pm-start"):
+    for workload in ("minprog", "lisp-del", "pm-start", "pm-end"):
         result = matrix.result(workload, PURE_IOU, prefetch)
         assert result.verified
 

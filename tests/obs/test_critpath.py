@@ -19,6 +19,7 @@ def make_tracer():
 
 # -- unit ------------------------------------------------------------------------
 def test_classify_names_phases_and_inherits_ship_ops():
+    assert classify("precopy") == "precopy"
     assert classify("excise") == "excise"
     assert classify("core") == "core-ship"
     assert classify("rimas") == "rimas-ship"
@@ -173,6 +174,17 @@ def test_render_analysis_prints_the_breakdown(result):
     assert "post-insertion execution" in text
     assert "fault lifecycle:" in text
     assert "p95=" in text
+
+
+def test_analyze_charges_precopy_rounds_to_their_own_phase():
+    result = Testbed(seed=1987, instrument=True).migrate_precopy("minprog")
+    result.obs.finalize()
+    (run,) = load_chrome(build_chrome([("minprog", result.obs)]))
+    (migration,) = analyze_run(run)["migrations"]
+    phases, total = migration["phases"], migration["duration_s"]
+    assert sum(phases.values()) == pytest.approx(total, rel=1e-6)
+    assert phases["precopy"] > 0.5 * total
+    assert phases.get("other", 0.0) < 0.01 * total
 
 
 # -- overlapping migrations must not cross-attribute ------------------------------

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.obs import build_chrome, load_chrome
+from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD
 from repro.testbed import Testbed
 
 
@@ -94,7 +95,7 @@ def test_uninstrumented_runs_record_no_spans():
     assert result.faults["imaginary"] > 0
 
 
-def test_instrumentation_does_not_change_simulated_outcomes():
+def test_instrumentation_does_not_change_simulated_outcomes(matrix):
     plain = Testbed(seed=1987).migrate("minprog", strategy="pure-iou")
     traced = Testbed(seed=1987, instrument=True).migrate(
         "minprog", strategy="pure-iou"
@@ -102,3 +103,11 @@ def test_instrumentation_does_not_change_simulated_outcomes():
     assert traced.transfer_s == plain.transfer_s
     assert traced.exec_s == plain.exec_s
     assert traced.bytes_total == plain.bytes_total
+    # Tracing plus continuous sampling on the fault-heaviest trial.
+    plain = matrix.iou("lisp-del", prefetch=1)
+    sampled = Testbed(
+        seed=1987, instrument=True, sample_period=DEFAULT_SAMPLE_PERIOD
+    ).migrate("lisp-del", strategy="pure-iou", options={"prefetch": 1})
+    assert sampled.obs.telemetry is not None and sampled.verified
+    for field in ("transfer_s", "exec_s", "bytes_total", "faults"):
+        assert getattr(sampled, field) == getattr(plain, field), field

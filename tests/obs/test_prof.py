@@ -199,6 +199,8 @@ class TestAttribution:
         assert {(row["layer"], row["function"])
                 for row in report["functions"]} == innermost
         assert all(":" in row["function"] for row in report["functions"])
+        # Enough distinct functions for a top-5 table.
+        assert len(report["functions"]) >= 5
         for layer, share in report["layers"].items():
             assert share == pytest.approx(sum(
                 row["share"] for row in report["functions"]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim import Engine, Event, SimulationError
+from repro.sim import DEFERRED, URGENT, Engine, Event, SimulationError
 from repro.sim.errors import EmptySchedule
+from repro.sim.refqueue import ReferenceEngine
 
 
 def test_clock_starts_at_zero():
@@ -189,6 +190,47 @@ def test_schedule_into_past_rejected():
     eng = Engine()
     with pytest.raises(SimulationError):
         eng.schedule(Event(eng), delay=-0.5)
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+@pytest.mark.parametrize("priority", [-1, 3])
+def test_unknown_priority_rejected_on_every_path(engine_cls, priority):
+    eng = engine_cls()
+    with pytest.raises(SimulationError, match="unknown scheduling priority"):
+        Event(eng).succeed(priority=priority)
+    with pytest.raises(SimulationError, match="unknown scheduling priority"):
+        eng.schedule(Event(eng), delay=1.0, priority=priority)
+    assert eng.run() is None and eng.now == 0.0
+
+
+def _logging_event(eng, order, label):
+    """A triggered but unqueued event (so the test makes the
+    ``schedule`` call) whose dispatch appends ``label`` to ``order``."""
+    event = Event(eng)
+    event._ok, event._value = True, label
+    event.callbacks.append(lambda _: order.append(label))
+    return event
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_future_priority_orders_one_instant(engine_cls):
+    eng = engine_cls()
+    order = []
+    for label, priority in (("deferred", DEFERRED), ("normal", None),
+                            ("urgent", URGENT)):
+        eng.schedule(_logging_event(eng, order, label), 2.0, priority)
+    eng.run()
+    assert order == ["urgent", "normal", "deferred"] and eng.now == 2.0
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_delay_that_rounds_to_now_stays_at_now(engine_cls):
+    eng = engine_cls(initial_time=1.0)
+    order = []
+    eng.schedule(_logging_event(eng, order, "zero"), 0.0)
+    eng.schedule(_logging_event(eng, order, "tiny"), 1e-300, URGENT)
+    eng.run()
+    assert order == ["tiny", "zero"] and eng.now == 1.0
 
 
 def test_urgent_priority_runs_first_at_same_time():

@@ -5,9 +5,11 @@ each rule must fail on a regression injected into a copy of it, with a
 line naming the bench, the row and the rule.  No bench runs here.
 """
 
+import ast
 import copy
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,11 @@ REGRESSIONS = [
      "rows.2.verified", "target == True"),
     ("cluster_scale", lambda a: drop(a, inflight_cap=8),
      "rows.8", "row missing from the fresh run"),
+    ("cluster_scale",
+     lambda a: row(a, inflight_cap=2).update(peak_host_inflight=3),
+     "rows.2.peak_host_inflight", "target <= 2"),
+    ("cluster_scale", lambda a: a.update(queue_shrinks_as_cap_grows=False),
+     "queue_shrinks_as_cap_grows", "target == True"),
     ("transfer_pipeline",
      lambda a: row(a, workload="lisp-del", strategy="adaptive").update(
          verified=False),
@@ -98,6 +105,13 @@ REGRESSIONS = [
      "stall_reduction", "target > 1.0"),
     ("content_store", lambda a: drop(a, arm="dedup"),
      "rows.dedup", "row missing from the fresh run"),
+    ("content_store", lambda a: row(a, arm="store").update(local_hits=0),
+     "rows.store.local_hits", "target > 0"),
+    ("content_store",
+     lambda a: row(a, arm="dedup-copy").update(dedup_pages=0),
+     "rows.dedup-copy.dedup_pages", "target > 0"),
+    ("content_store", lambda a: a.update(dedup_copy_saves_half=False),
+     "dedup_copy_saves_half", "target == True"),
     ("serving", lambda a: row(a, arm="adaptive-batched").update(verified=False),
      "rows.adaptive-batched.verified", "target == True"),
     ("serving",
@@ -111,6 +125,11 @@ REGRESSIONS = [
      "during_p99_improvement.adaptive-batched", "target > 1.0"),
     ("serving", lambda a: drop(a, arm="pure-iou-serial"),
      "rows.pure-iou-serial", "row missing from the fresh run"),
+    ("serving",
+     lambda a: row(a, arm="pure-iou-batched").update(
+         determinism_hash=flipped(
+             row(a, arm="pure-iou-batched")["determinism_hash"])),
+     "rows.pure-iou-batched.determinism_hash", "exact"),
     ("engine_throughput", lambda a: row(a, shape="wide").update(verified=False),
      "rows.wide.verified", "target == True"),
     ("engine_throughput",
@@ -122,9 +141,44 @@ REGRESSIONS = [
      "rows.batched.events_per_s", "fall > 10%"),
     ("engine_throughput", lambda a: drop(a, shape="serving"),
      "rows.serving", "row missing from the fresh run"),
+    ("engine_throughput",
+     lambda a: row(a, shape="small").update(events_dispatched=0),
+     "rows.small.events_dispatched", "target > 0"),
+    ("engine_throughput", lambda a: a["profile"].update(coverage=0.94),
+     "profile.coverage", "target >= 0.95"),
+    ("engine_throughput", lambda a: a["profile"].update(wall_ratio=0.0),
+     "profile.wall_ratio", "target > 0"),
     ("obs_overhead", lambda a: a.update(sampling_overhead_fraction=0.06),
      "sampling_overhead_fraction", "target < 0.05"),
 ]
+
+
+def test_every_bench_module_is_a_gate_and_holds_no_tests():
+    """A ``benchmarks/bench_*.py`` declares ``measure`` and ``GATE`` and
+    nothing pytest collects: its checks are ``GATE`` rules, or tier-1
+    tests when they are no property of the artifact."""
+    paths = sorted(Path(gate.REPO_ROOT, "benchmarks").glob("bench_*.py"))
+    assert sorted(path.stem[len("bench_"):] for path in paths) == sorted(
+        BENCHES)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)}
+        defined |= {target.id for node in tree.body
+                    if isinstance(node, ast.Assign) for target in node.targets
+                    if isinstance(target, ast.Name)}
+        assert {"measure", "GATE"} <= defined, path.name
+        tests = [node.name for node in nodes
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("test")]
+        imported = [alias.name for node in nodes
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module or "" for node in nodes
+                     if isinstance(node, ast.ImportFrom)]
+        assert tests == [], path.name
+        assert "pytest" not in {name.split(".")[0] for name in imported}, (
+            path.name)
 
 
 @pytest.mark.parametrize("name", BENCHES)

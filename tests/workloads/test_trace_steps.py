@@ -10,7 +10,7 @@ from repro.workloads import trace as trace_module
 from repro.workloads.builder import build_process
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.synthetic import make_synthetic
-from repro.workloads.trace import TraceStep, TraceSteps
+from repro.workloads.trace import ReferenceTrace, TraceStep, TraceSteps
 
 REVISITY = replace(
     make_synthetic(real_kb=128, utilisation=0.4, compute_s=2.0, name="revisity"),
@@ -53,6 +53,12 @@ def test_columnar_steps_equal_the_built_step_list(spec, monkeypatch):
         assert isinstance(part, TraceSteps)
         assert list(part) == expected[start:end]
     assert list(steps[::7]) == expected[::7]
+    for start in (0, 5, len(expected)):
+        assert list(steps.references(start)) == [
+            tuple(step) for step in expected[start:]
+        ]
+    hop = steps[3:17]
+    assert ReferenceTrace(hop, 1.0).steps is hop
     with pytest.raises(IndexError):
         steps[len(expected)]
 
@@ -74,5 +80,8 @@ def test_every_step_kind_and_write_flag_round_trips():
     ]
     written.append(TraceStep(2**23 - 1, True, "real"))
     assert list(TraceSteps(written)) == written
+    assert list(TraceSteps(written).references()) == [
+        tuple(step) for step in written
+    ]
     assert list(TraceSteps()) == []
 
