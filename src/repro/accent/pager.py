@@ -221,6 +221,9 @@ class Pager:
         finally:
             fault_span.finish()
             self._inflight.pop(key, None)
+            # A failure's traceback keeps this frame, and ``done`` keeps
+            # the failure: drop the frame's hold so the two are no cycle.
+            done = None  # noqa: F841
 
     def _coalesce(self, space, index, mapping, fault_id, fault_span):
         """Generator: bring one fault to a batched fetch; returns the rtt.

@@ -68,7 +68,7 @@ class MigrationTicket:
         #: The re-incarnated process at the destination ("completed"),
         #: until a job's ``settle`` takes it.
         self.inserted = None
-        #: Fires with this ticket once the move reaches a terminal state.
+        #: Fires once the move reaches a terminal state.
         self.done = engine.event()
 
     def __repr__(self):
@@ -213,7 +213,7 @@ class ClusterScheduler:
             self._drained = self.engine.event()
         if not self._active and not self._pending:
             if not self._drained.triggered:
-                self._drained.succeed(self)
+                self._drained.succeed()
         return self._drained
 
     # -- accounting views ---------------------------------------------------------
@@ -259,9 +259,10 @@ class ClusterScheduler:
     def _reject(self, ticket, reason):
         ticket.outcome = "rejected"
         ticket.reason = reason
+        ticket.prepare = None
         ticket.finished_at = self.engine.now
         self._outcomes.inc(1, outcome="rejected")
-        ticket.done.succeed(ticket)
+        ticket.done.succeed()
 
     def _admissible(self, ticket):
         inflight = self._host_inflight
@@ -304,8 +305,11 @@ class ClusterScheduler:
         world = self.world
         engine = self.engine
         try:
-            if ticket.prepare is not None:
-                waiter = ticket.prepare()
+            # The hook usually holds its job: a ticket outlives its
+            # move (results keep them), so it lets the hook go.
+            prepare, ticket.prepare = ticket.prepare, None
+            if prepare is not None:
+                waiter = prepare()
                 if waiter is not None:
                     yield waiter
             ticket.frozen_at = engine.now
@@ -348,7 +352,7 @@ class ClusterScheduler:
             telemetry = self.world.obs.telemetry
             if telemetry is not None:
                 telemetry.observe("migration.freeze", ticket.freeze_s)
-        ticket.done.succeed(ticket)
+        ticket.done.succeed()
         self._pump()
         self._sample()
         if (
@@ -357,7 +361,7 @@ class ClusterScheduler:
             and not self._active
             and not self._pending
         ):
-            self._drained.succeed(self)
+            self._drained.succeed()
 
     def _sample(self):
         inflight = len(self._active)

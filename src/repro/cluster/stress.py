@@ -472,4 +472,6 @@ def run_stress(config, calibration=None, instrument=False, faults=None):
     engine.run(until=engine.process(arrivals, name="stress-arrivals"))
     engine.run(until=scheduler.drain())
     engine.run(until=engine.all_of([job.done for job in jobs]))
-    return StressResult(config, world, scheduler, jobs, world.finish())
+    result = StressResult(config, world, scheduler, jobs, world.finish())
+    world.close()
+    return result

@@ -1,7 +1,7 @@
 """Imaginary segments: memory owed through an IPC port."""
 
 import bisect
-from itertools import count
+from itertools import count, islice
 
 _segment_ids = count(1)
 
@@ -116,15 +116,17 @@ class ImaginarySegment:
             self.owed.discard(index)
         fill = window - len(result)
         if fill > 0 and demanded:
-            position = bisect.bisect_right(self._sorted_indices, demanded[0])
-            picked = 0
-            for candidate in self._sorted_indices[position:]:
-                if picked >= fill:
-                    break
-                if candidate in self.owed:
+            ordered = self._sorted_indices
+            owed = self.owed
+            position = bisect.bisect_right(ordered, demanded[0])
+            # Walk the sorted indices in place: no copy of the tail.
+            for candidate in islice(ordered, position, None):
+                if candidate in owed:
                     result[candidate] = self.stash[candidate]
-                    self.owed.discard(candidate)
-                    picked += 1
+                    owed.discard(candidate)
+                    fill -= 1
+                    if not fill:
+                        break
         self.pages_delivered += len(result)
         return result
 

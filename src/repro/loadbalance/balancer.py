@@ -239,7 +239,7 @@ class Scenario:
         # Tickets for jobs that ended just before their pause resolve
         # (as "skipped") at this same instant.
         engine.run(until=balancer.scheduler.drain())
-        return ScenarioResult(
+        result = ScenarioResult(
             getattr(policy, "name", type(policy).__name__),
             jobs,
             balancer.log,
@@ -247,3 +247,5 @@ class Scenario:
             obs=world.obs,
             scheduler=balancer.scheduler,
         )
+        world.close()
+        return result

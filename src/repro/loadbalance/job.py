@@ -77,7 +77,7 @@ class MigratableJob:
             self._paused_event = self.world.engine.event()
         self._pause_requested = True
         if self.ended and not self._paused_event.triggered:
-            self._paused_event.succeed(self)
+            self._paused_event.succeed()
         self._notify()
         return self._paused_event
 
@@ -171,11 +171,11 @@ class MigratableJob:
             self.failure = str(failure)
         self._signal_paused()
         if not self.done.triggered:
-            self.done.succeed(self)
+            self.done.succeed()
 
     def _signal_paused(self):
         if self._paused_event is not None and not self._paused_event.triggered:
-            self._paused_event.succeed(self)
+            self._paused_event.succeed()
 
 
 class ManagedJob(MigratableJob):

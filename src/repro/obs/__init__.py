@@ -149,6 +149,8 @@ class Instrumentation:
         # too slow.
         self._event_log = []
         self._engines = []
+        #: :meth:`host_meta` as it stood when the engine was detached.
+        self._host_meta = None
 
     def __repr__(self):
         return (
@@ -169,6 +171,27 @@ class Instrumentation:
         if self.enabled:
             engine.kind_log = self._event_log
             self._engines.append(engine)
+
+    def detach_engine(self):
+        """Keep what the run recorded and let its engine go.
+
+        Called when the world ends: the tracer's and the registry's
+        clocks stop at the engine's final time, :meth:`host_meta` keeps
+        its final counts, and the telemetry sampler drops its sources.
+        """
+        engine = self._engine
+        if engine is None:
+            return
+        self._host_meta = self.host_meta()
+        now = engine.now
+        clock = lambda: now  # noqa: E731
+        self.tracer._clock = clock
+        self.registry.set_clock(clock)
+        self._engine = None
+        self._engines = []
+        self._proc_phases.clear()
+        if self.telemetry is not None:
+            self.telemetry.detach()
 
     # -- phase attribution --------------------------------------------------------
     def _context_stack(self):
@@ -267,13 +290,14 @@ class Instrumentation:
     def host_meta(self):
         """Host-side run metadata: events dispatched and wall-clock
         seconds spent in dispatch, summed over every engine this world
-        ran.  ``None`` when no engine was ever attached (hand-scripted
-        obs, foreign traces) so such exports stay byte-stable."""
+        ran, as they stood at :meth:`detach_engine` once it ran.
+        ``None`` when no engine was ever attached (hand-scripted obs,
+        foreign traces) so such exports stay byte-stable."""
         engines = self._engines
         if not engines and self._engine is not None:
             engines = [self._engine]
         if not engines:
-            return None
+            return self._host_meta
         return {
             "events_dispatched": sum(e.dispatched for e in engines),
             "wall_s": sum(e.wall_s for e in engines),

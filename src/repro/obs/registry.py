@@ -563,6 +563,22 @@ class Family:
         }
 
 
+class _WindowedFactory:
+    """Makes one family's :class:`WindowedHistogram` children."""
+
+    kind = WindowedHistogram.kind
+
+    def __init__(self, clock, window_s, buckets):
+        self.clock = clock
+        self.window_s = window_s
+        self.buckets = buckets
+
+    def __call__(self):
+        return WindowedHistogram(
+            self.clock, window_s=self.window_s, buckets=self.buckets
+        )
+
+
 class Registry:
     """Process-wide named metric families."""
 
@@ -611,12 +627,20 @@ class Registry:
         """The windowed-histogram family ``name`` (registered on first
         use).  Children tumble on the registry clock; see
         :class:`WindowedHistogram`."""
-        clock = self.clock
-        factory = lambda: WindowedHistogram(  # noqa: E731
-            clock, window_s=window_s, buckets=buckets
+        return self._family(
+            name, labels, _WindowedFactory(self.clock, window_s, buckets)
         )
-        factory.kind = WindowedHistogram.kind
-        return self._family(name, labels, factory)
+
+    def set_clock(self, clock):
+        """Re-point the registry and its windowed instruments at ``clock``
+        (a world that ends swaps its engine's clock for a stopped one)."""
+        self.clock = clock
+        for family in self._families.values():
+            factory = family._factory
+            if isinstance(factory, _WindowedFactory):
+                factory.clock = clock
+                for _, child in family.items():
+                    child.clock = clock
 
     def families(self):
         """(name, family) pairs, sorted by name."""

@@ -180,7 +180,7 @@ class SLOEngine:
 
     def __init__(self, slos, obs):
         self.slos = list(slos)
-        self.obs = obs
+        self.tracer = obs.tracer
         #: slo name -> open ``slo.violation`` span (while burning).
         self._open = {}
         #: slo name -> peak burn rate within the open violation.
@@ -211,10 +211,10 @@ class SLOEngine:
             violated = burn >= 1.0
             open_span = self._open.get(slo.name)
             if violated and open_span is None:
-                span = self.obs.tracer.span(
+                span = self.tracer.span(
                     "slo.violation",
                     track="slo",
-                    trace_id=self.obs.tracer.new_trace_id(),
+                    trace_id=self.tracer.new_trace_id(),
                     slo=slo.name,
                     metric=slo.metric,
                     objective=slo.objective,

@@ -93,7 +93,7 @@ class Telemetry:
             raise ValueError(f"sample period must be > 0, got {period}")
         if window_s < period:
             window_s = period
-        self.obs = obs
+        self.registry = obs.registry
         self.engine = engine
         self.period = float(period)
         self.window_s = float(window_s)
@@ -233,7 +233,7 @@ class Telemetry:
                 if metric.startswith(prefix):
                     buckets = candidate
                     break
-            hist = self._hists[metric] = self.obs.registry.windowed_histogram(
+            hist = self._hists[metric] = self.registry.windowed_histogram(
                 family, window_s=self.period, buckets=buckets
             ).labels()
             self._rebuild_ribbons()
@@ -273,6 +273,16 @@ class Telemetry:
         self._stopped = True
         if self.slo_engine is not None:
             self.slo_engine.finalize(now)
+
+    def detach(self):
+        """Let go of the engine and the sampled sources (hosts, links,
+        schedulers, routers) once the world has ended; the series and
+        the SLO state stay readable."""
+        self.engine = self._proc = None
+        self._schedulers = []
+        self._routers = []
+        self._links = []
+        self._hosts = []
 
     # -- sampling ---------------------------------------------------------------
     def _record(self, name, value):

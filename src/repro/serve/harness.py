@@ -246,6 +246,11 @@ def run_serve(config, calibration=None, instrument=False, faults=None):
     for job in jobs:
         job.shutdown()
     engine.run(until=engine.all_of([job.done for job in jobs]))
-    return ServingResult(
+    result = ServingResult(
         config, world, scheduler, router, jobs, world.finish()
     )
+    world.close()
+    for job in jobs:
+        # The router holds every job it routes to; that side stays.
+        job.router = None
+    return result

@@ -318,4 +318,4 @@ class FlowRouter:
             and self._settled is not None
             and not self._settled.triggered
         ):
-            self._settled.succeed(self)
+            self._settled.succeed()

@@ -157,7 +157,7 @@ class Condition(Event):
         for event in self._events:
             if event.processed:
                 self._check(event)
-            else:
+            elif self._value is PENDING:
                 event.callbacks.append(self._check)
         if not self._events and not self.triggered:
             self.succeed({})
@@ -176,6 +176,18 @@ class Condition(Event):
             self.fail(event._value)
         elif self._evaluate(self._events, self._count):
             self.succeed(self._collect_values())
+        else:
+            return
+        # Settled: a constituent still pending would only call back
+        # into it, and holds it meanwhile (an unanswered request beside
+        # the deadline that won, say).  Let them go.
+        check = self._check
+        for other in self._events:
+            if other.callbacks:
+                try:
+                    other.callbacks.remove(check)
+                except ValueError:
+                    pass
 
 
 class AllOf(Condition):

@@ -30,7 +30,7 @@ class ContentStore:
         self.directory = directory
         #: content id -> immutable page bytes.
         self._contents = {ZERO_CONTENT_ID: _ZERO_DATA}
-        directory.register_store(self)
+        directory.add_holder(ZERO_CONTENT_ID, host.name)
 
     def __repr__(self):
         return f"<ContentStore {self.host.name} entries={len(self._contents)}>"
@@ -87,8 +87,6 @@ class StoreDirectory:
         self._index = {name: i for i, name in enumerate(self.hosts)}
         #: content id -> set of holder host names.
         self._holders = {}
-        #: host name -> ContentStore.
-        self.stores = {}
         #: host name -> StoreServer request port.
         self.server_ports = {}
 
@@ -97,11 +95,6 @@ class StoreDirectory:
             f"<StoreDirectory hosts={len(self.hosts)} "
             f"ids={len(self._holders)}>"
         )
-
-    def register_store(self, store):
-        """Track a host's content store (done by ContentStore.__init__)."""
-        self.stores[store.host.name] = store
-        self.add_holder(ZERO_CONTENT_ID, store.host.name)
 
     def register_server(self, host_name, port):
         """Record the host's StoreServer request port for resolvers."""

@@ -153,6 +153,20 @@ class TestbedWorld:
         self.engine.run()
         return ended
 
+    def close(self):
+        """End this world for good, so that reference counting frees it.
+
+        Call it once the run's result has copied what it reports.  It
+        closes the processes still waiting on the engine (server loops
+        blocked on their ports), detaches the instrumentation from the
+        engine and has every host let go of its parts, which are in
+        reference cycles with it.  The world must not run again.
+        """
+        self.engine.close()
+        self.obs.detach_engine()
+        for host in self.hosts.values():
+            host.close()
+
     # The classic two-host views used throughout the test suite.
     @property
     def source(self):
@@ -728,8 +742,9 @@ class Testbed:
         ``options`` is a :class:`TransferOptions` or a dict of its
         fields; ``strategy``, when given, overrides its strategy.
         """
-        return MigrationResult(
-            self._trial(workload, strategy, options, run_remote=run_remote)
+        return self._trial(
+            MigrationResult, workload, strategy, options,
+            run_remote=run_remote,
         )
 
     def migrate_precopy(self, workload, dirty_rate_pps=None, stop_threshold=32,
@@ -745,14 +760,14 @@ class Testbed:
         check_dirty_rate(dirty_rate_pps)
         if dirty_rate_pps is None:
             dirty_rate_pps = default_dirty_rate(spec)
-        return PrecopyResult(self._trial(
-            spec, "pre-copy", options, run_remote=run_remote,
+        return self._trial(
+            PrecopyResult, spec, "pre-copy", options, run_remote=run_remote,
             precopy={
                 "dirty_rate_pps": dirty_rate_pps,
                 "stop_threshold": stop_threshold,
                 "max_rounds": max_rounds,
             },
-        ))
+        )
 
     def migrate_chain(self, workload, path=("alpha", "beta", "gamma"),
                       strategy=None, run_fractions=None, options=None):
@@ -769,15 +784,16 @@ class Testbed:
         page — or, with the content store on, to the *nearest* cached
         copy, collapsing the residual chain.
         """
-        return ChainResult(self._trial(
-            workload, strategy, options, path=tuple(path),
+        return self._trial(
+            ChainResult, workload, strategy, options, path=tuple(path),
             run_fractions=chain_fractions(path, run_fractions),
-        ))
+        )
 
-    def _trial(self, workload, strategy, options, path=("alpha", "beta"),
-               run_fractions=None, run_remote=True, precopy=None):
+    def _trial(self, result_type, workload, strategy, options,
+               path=("alpha", "beta"), run_fractions=None, run_remote=True,
+               precopy=None):
         """Run one trial along ``path``: the hop loop every entry point
-        shares; returns a :class:`Trial`.
+        shares; returns the ``result_type`` built from its :class:`Trial`.
 
         The process is built at ``path[0]`` and moved hop by hop with
         :meth:`MigrationManager.migrate` or, given ``precopy`` keyword
@@ -786,7 +802,9 @@ class Testbed:
         ``exec`` span: the whole trace at the peer of a two-host trial,
         or the :func:`_segments` slice at each host of a chain.  A
         rolled-back transfer ends the trial "aborted", and a broken
-        residual dependency ends it "killed".
+        residual dependency ends it "killed".  Once the result has
+        copied what it reports, the world is closed, so reference
+        counting frees it.
         """
         options = TransferOptions.coerce(options)
         if strategy is not None:
@@ -867,7 +885,9 @@ class Testbed:
         process = world.engine.process(trial(), name=f"trial-{spec.name}")
         world.engine.run(until=process)
         world.finish()
-        return Trial(
+        result = result_type(Trial(
             spec, options, path, world, run_result if run_remote else None,
             outcome, failure, hop_times, rounds,
-        )
+        ))
+        world.close()
+        return result

@@ -10,6 +10,7 @@ from the same workloads adds nothing to it.
 from collections import defaultdict
 
 from repro.cluster.stress import StressConfig, run_stress
+from repro import testbed
 from repro.workloads import content
 from repro.workloads.content import WRITE_MARKER
 
@@ -18,11 +19,11 @@ SHAPE = dict(
 )
 
 
-def _live_pages(result):
-    """Every page the run's jobs and hosts still hold."""
-    world = result.jobs[0].world
-    spaces = [job.process.space for job in result.jobs]
-    for host in world.hosts.values():
+def _live_pages(spaces, hosts):
+    """Every page ``spaces`` and ``hosts`` (their kernels' processes
+    and their disks) hold."""
+    spaces = list(spaces)
+    for host in hosts:
         spaces.extend(p.space for p in host.kernel.processes.values())
         for images in host.disk._store.values():
             yield from images.values()
@@ -31,11 +32,22 @@ def _live_pages(result):
             yield entry.page
 
 
-def test_equal_live_pages_share_one_bytes_object():
+def test_equal_live_pages_share_one_bytes_object(monkeypatch):
+    # A closed host lets go of its kernel, so read the hosts' pages as
+    # the world closes, and the jobs' from the result.
+    held = []
+    close = testbed.TestbedWorld.close
+
+    def closing(world):
+        held.extend(_live_pages((), world.hosts.values()))
+        close(world)
+
+    monkeypatch.setattr(testbed.TestbedWorld, "close", closing)
     result = run_stress(StressConfig(**SHAPE))
     assert result.verified
+    spaces = [job.process.space for job in result.jobs]
     by_contents = defaultdict(set)
-    for page in _live_pages(result):
+    for page in held + list(_live_pages(spaces, ())):
         by_contents[page.data].add(id(page.data))
     stamped = [data for data in by_contents if data.startswith(WRITE_MARKER)]
     assert stamped, "the shape must stamp pages"

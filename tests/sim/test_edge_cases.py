@@ -153,3 +153,21 @@ def test_many_processes_complete(benchmark_scale=200):
         eng.process(worker(tag))
     eng.run()
     assert len(done) == benchmark_scale
+
+
+def test_a_settled_condition_lets_go_of_its_pending_constituents():
+    eng = Engine()
+    never = eng.event()
+    deadline = eng.timeout(1.0)
+    first = AnyOf(eng, [never, deadline])
+    assert len(never.callbacks) == 1
+    eng.run()
+    assert first.value == {deadline: None}
+    assert never.callbacks == []
+    # A condition settled while registering never subscribes the rest.
+    done, also = eng.timeout(0.0), eng.timeout(0.0)
+    eng.run()
+    late = eng.event()
+    late.callbacks.append(print)
+    assert AnyOf(eng, [done, also, late]).triggered
+    assert late.callbacks == [print]

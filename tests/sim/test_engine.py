@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import DEFERRED, URGENT, Engine, Event, SimulationError
+from repro.sim import (
+    DEFERRED, URGENT, Engine, Event, SimulationError, Store, Timeout,
+)
 from repro.sim.errors import EmptySchedule
 from repro.sim.refqueue import ReferenceEngine
 
@@ -246,3 +248,89 @@ def test_urgent_priority_runs_first_at_same_time():
     urgent.succeed(priority=URGENT)
     eng.run()
     assert order == ["urgent", "normal"]
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_repr_counts_pending_events_and_clock_reads_now(engine_cls):
+    eng = engine_cls(initial_time=2.0)
+    eng.timeout(1.0)
+    assert eng.clock() == eng.now == 2.0
+    assert repr(Engine()) == "<Engine t=0.000000 pending=0>"
+    eng.run()
+    assert eng.clock() == 3.0
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_step_feeds_kind_log_then_observers(engine_cls):
+    eng = engine_cls()
+    seen = []
+    eng.kind_log = seen
+    eng.add_observer(lambda now, event: seen.append((now, event.value)))
+    eng.remove_observer(print)  # never installed: a no-op
+    eng.timeout(1.0, "a")
+    eng.step()
+    assert seen == [Timeout, (1.0, "a")]
+    assert eng.dispatched == 1
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_run_until_a_failed_target_raises_even_when_a_waiter_handled_it(
+        engine_cls):
+    eng = engine_cls()
+
+    def failing():
+        yield eng.timeout(1.0)
+        raise KeyError("gone")
+
+    def waiter(target):
+        with pytest.raises(KeyError):
+            yield target
+
+    target = eng.process(failing())
+    eng.process(waiter(target))
+    with pytest.raises(KeyError, match="gone"):
+        eng.run(until=target)
+
+
+def test_reference_engine_rejects_what_the_engine_rejects():
+    eng = ReferenceEngine()
+    with pytest.raises(SimulationError, match="into the past"):
+        eng.schedule(Event(eng), delay=-0.5)
+    with pytest.raises(SimulationError, match="untriggered"):
+        eng.cancel(eng.event())
+    done = eng.timeout(1.0)
+    eng.run()
+    with pytest.raises(SimulationError, match="processed"):
+        eng.cancel(done)
+    with pytest.raises(SimulationError, match="in the past"):
+        eng.run(until=0.5)
+
+
+def test_close_ends_every_waiting_process_and_drops_the_queue():
+    eng = Engine()
+    inbox = Store(eng)
+    ended = []
+
+    def server():
+        try:
+            while True:
+                yield inbox.get()
+        finally:
+            ended.append(eng.now)
+
+    proc = eng.process(server())
+    eng.run()
+    late = eng.timeout(5.0)
+    observer = lambda now, event: None  # noqa: E731
+    eng.add_observer(observer)
+    eng.kind_log = []
+    eng.close()
+    # The generator saw GeneratorExit; the get it waited on no longer
+    # holds the process, and nothing stays queued or hooked.
+    assert ended == [0.0]
+    assert proc._target is None and inbox._getters[0].callbacks == []
+    assert eng.peek() == float("inf") and not late.processed
+    assert eng.observer is None and eng.kind_log is None
+    assert eng.run() is None and eng.now == 0.0
+    proc.close()  # closing twice does nothing
+    assert ended == [0.0]
