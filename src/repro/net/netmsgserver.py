@@ -63,9 +63,6 @@ class NetMsgServer:
         #: whose ack was lost is suppressed rather than re-handled.
         self._seq = count(1)
         self._seen_seqs = set()
-        #: The :class:`_Shipment` whose fragments :meth:`_fragment` is
-        #: making (None outside it).
-        self._shipment = None
         registry = host.metrics.obs.registry
         self._retransmits = registry.counter(
             "transport_retransmits_total", labels=("host",)
@@ -186,20 +183,14 @@ class NetMsgServer:
         ship_span.add("payload_bytes", payload)
         ship_span.add("fragments", len(sizes))
         name = f"frag-{message.op}"
+        shipment = _Shipment(self, link, peer, message.op, phase, ship_span)
         pipes = []
-        self._shipment = _Shipment(
-            self, link, peer, message.op, phase, ship_span
-        )
-        try:
-            for size in sizes:
-                pipe = _Fragment(
-                    self, size, link, peer, message.op, phase,
-                    calibration.nms_hop_s(size), ship_span, name,
-                ).done
-                pipe.defuse()
-                pipes.append(pipe)
-        finally:
-            self._shipment = None
+        for size in sizes:
+            pipe = _Fragment(
+                shipment, size, calibration.nms_hop_s(size), name
+            ).done
+            pipe.defuse()
+            pipes.append(pipe)
         return self.engine.all_of(pipes)
 
     # -- IOU caching ----------------------------------------------------------------
@@ -370,22 +361,21 @@ class _Fragment:
     the init event draws a sequence number, each attempt checks that
     the source is up, a duplicate skips the receiver's CPU hold, and an
     ack frame returns through the same link stages.  A lost frame opens
-    a ``retransmit`` child of ``span`` and restarts at the source CPU
+    a ``retransmit`` child of the ship span and restarts at the source CPU
     after a backed-off ``Timeout``; out of attempts, or with the source
     down, :attr:`done` fails with ``TransportError``.  Each slot is
     released, and each ``record_*`` made, where the generator did;
-    bytes are credited to ``phase``, resolved by the sender at ship time.
+    bytes are credited to the shipment's phase, resolved by the sender at
+    ship time.
     """
 
     __slots__ = ("shipment", "wire_bytes", "hop", "req", "done", "acking",
                  "frame_bytes", "seq", "attempts", "backoff", "retry_span")
 
-    def __init__(self, nms, wire_bytes, link, peer, category, phase, hop,
-                 span, name):
-        engine = nms.engine
-        #: The constants it shares with its siblings: the shipment
-        #: :meth:`NetMsgServer._fragment` is making.
-        self.shipment = nms._shipment
+    def __init__(self, shipment, wire_bytes, hop, name):
+        engine = shipment.nms.engine
+        #: The constants it shares with its siblings.
+        self.shipment = shipment
         self.wire_bytes = wire_bytes
         self.hop = hop
         self.req = None
@@ -397,7 +387,8 @@ class _Fragment:
         init._ok = True
         init._value = None
         init.callbacks.append(
-            self._attempt if link.faults is None else self._start_reliable
+            self._attempt if shipment.link.faults is None
+            else self._start_reliable
         )
         engine._ready(init)
 

@@ -114,7 +114,7 @@ class Instrumentation:
     def __init__(self, clock=None, enabled=True):
         self.enabled = enabled
         self.tracer = Tracer(clock=clock, enabled=enabled)
-        self.registry = Registry(clock=clock)
+        self.registry = Registry()
         #: The world's :class:`~repro.obs.telemetry.Telemetry`, or None
         #: when continuous sampling is off — hot paths guard with one
         #: attribute load.
@@ -175,18 +175,16 @@ class Instrumentation:
     def detach_engine(self):
         """Keep what the run recorded and let its engine go.
 
-        Called when the world ends: the tracer's and the registry's
-        clocks stop at the engine's final time, :meth:`host_meta` keeps
-        its final counts, and the telemetry sampler drops its sources.
+        Called when the world ends: the tracer's clock stops at the
+        engine's final time, :meth:`host_meta` keeps its final counts,
+        and the telemetry sampler drops its sources.
         """
         engine = self._engine
         if engine is None:
             return
         self._host_meta = self.host_meta()
         now = engine.now
-        clock = lambda: now  # noqa: E731
-        self.tracer._clock = clock
-        self.registry.set_clock(clock)
+        self.tracer._clock = lambda: now
         self._engine = None
         self._engines = []
         self._proc_phases.clear()

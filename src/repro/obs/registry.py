@@ -15,7 +15,6 @@ to the observed min/max.
 """
 
 from bisect import bisect_left
-from collections import deque
 
 #: Default bucket upper bounds for fault/hop latencies, in seconds.
 #: Chosen around the paper's landmarks: 40.8 ms disk fault, ~115 ms
@@ -99,22 +98,6 @@ class Histogram:
         self.min = None
         self.max = None
 
-    @classmethod
-    def _blank(cls, buckets):
-        """A fresh empty histogram over already-validated ``buckets``
-        (a sorted tuple) — skips ``__init__``'s validation, which the
-        windowed slide would otherwise re-pay on every chunk, base,
-        and merge result it allocates."""
-        hist = cls.__new__(cls)
-        hist.buckets = buckets
-        hist.counts = [0] * len(buckets)
-        hist.overflow = 0
-        hist.count = 0
-        hist.sum = 0.0
-        hist.min = None
-        hist.max = None
-        return hist
-
     def observe(self, value):
         """Record one observation."""
         self.count += 1
@@ -140,23 +123,7 @@ class Histogram:
         observed min/max so single-observation histograms report the
         exact value.
         """
-        if self.count == 0:
-            return None
-        target = q * self.count
-        cumulative = 0
-        lower_bound = 0.0
-        for bound, bucket_count in zip(self.buckets, self.counts):
-            if cumulative + bucket_count >= target and bucket_count > 0:
-                fraction = (target - cumulative) / bucket_count
-                low = max(lower_bound, self.min)
-                high = min(bound, self.max)
-                if high < low:
-                    high = low
-                return low + fraction * (high - low)
-            cumulative += bucket_count
-            lower_bound = bound
-        # Landed in the overflow bucket.
-        return self.max
+        return self.percentiles((q,))[0]
 
     def percentiles(self, qs):
         """:meth:`percentile` for several *ascending* quantiles in one
@@ -240,22 +207,6 @@ class Histogram:
             self.max = other.max
         return self
 
-    def _subtract(self, other):
-        """Remove ``other``'s observations (counts/count/sum only).
-
-        The inverse of :meth:`merge_from` for everything that
-        subtracts exactly: bucket counts, overflow, count (ints) and
-        sum (float, drift bounded by rounding).  ``min``/``max`` are
-        left STALE — set union has no inverse — so callers must
-        recompute extrema from whatever remains included.  Internal to
-        the windowed sliding merge.
-        """
-        for position, bucket_count in enumerate(other.counts):
-            self.counts[position] -= bucket_count
-        self.overflow -= other.overflow
-        self.count -= other.count
-        self.sum -= other.sum
-
     def count_above(self, threshold):
         """Observations strictly above ``threshold`` (bucket-resolved).
 
@@ -273,80 +224,37 @@ class Histogram:
         return above
 
 
-class _SlideState:
-    """Incremental sliding-merge state for one ``windows`` width.
-
-    Closed chunks are immutable, so their merge (``base``) advances by
-    one exact integer subtraction (the chunk expiring past the floor)
-    and one addition (the chunk that just closed) per step, instead of
-    re-merging every included chunk.  Extrema are recomputed from the
-    included chunks' scalar stats after an expiry — O(k) float
-    compares, not O(k) bucket merges.
-    """
-
-    __slots__ = (
-        "included", "base", "hi_epoch", "version", "live_in", "result",
-        "evictions",
-    )
-
-    def __init__(self, buckets):
-        #: Closed (epoch, chunk) pairs folded into ``base``, oldest
-        #: first.
-        self.included = deque()
-        self.base = Histogram._blank(buckets)
-        #: Highest closed epoch ever folded (scan cursor).
-        self.hi_epoch = None
-        #: :attr:`WindowedHistogram.version` when ``result`` was built.
-        self.version = None
-        #: Whether the live chunk was inside the window at build time.
-        self.live_in = False
-        self.result = None
-        #: :attr:`WindowedHistogram.evictions` at last build — a
-        #: mismatch means a retained chunk vanished and the state must
-        #: rebuild from scratch.
-        self.evictions = 0
+#: Chunks a :class:`WindowedHistogram` keeps; older ones are dropped
+#: (their observations stay in the all-time ``total``).
+RETAIN_CHUNKS = 256
 
 
 class WindowedHistogram:
     """A streaming histogram over tumbling windows of simulated time.
 
-    Observations land in the *current* tumbling window (a plain
-    :class:`Histogram` chunk of ``window_s`` simulated seconds); closed
-    chunks are retained so sliding-window queries can merge the last
-    ``k`` windows (:meth:`merged`, :meth:`percentile`).  Everything is
-    keyed to the registry's clock, so two runs with the same seed
-    produce identical chunk sequences — windowed percentiles are as
+    Each observation lands in the chunk (a plain :class:`Histogram`) of
+    the ``window_s``-second tumbling window its time falls in; the last
+    :data:`RETAIN_CHUNKS` chunks are kept so that :meth:`merged` can
+    answer sliding-window queries over the last ``k`` windows.  The
+    caller passes the simulated time, so two runs with the same seed
+    produce identical chunk sequences: windowed percentiles are as
     deterministic as the simulation itself.
     """
 
-    __slots__ = ("clock", "window_s", "retain", "buckets", "chunks", "total",
-                 "version", "evictions", "_merge_cache")
+    __slots__ = ("window_s", "buckets", "chunks", "total")
     kind = "windowed_histogram"
 
-    def __init__(self, clock, window_s=1.0, retain=256,
-                 buckets=DEFAULT_LATENCY_BUCKETS):
+    def __init__(self, window_s=1.0, buckets=DEFAULT_LATENCY_BUCKETS):
         if window_s <= 0:
             raise ValueError(f"window_s must be > 0, got {window_s}")
-        if retain < 1:
-            raise ValueError(f"retain must be >= 1, got {retain}")
-        self.clock = clock if clock is not None else (lambda: 0.0)
         self.window_s = float(window_s)
-        self.retain = retain
-        self.buckets = tuple(buckets)
+        #: All-time merge of every observation ever made, including
+        #: those whose chunks have been dropped.
+        self.total = Histogram(buckets)
+        self.buckets = self.total.buckets
         #: (epoch, Histogram) pairs, oldest first; epochs with no
         #: observations have no chunk (they merge as empty).
         self.chunks = []
-        #: All-time merge of every observation ever made, including
-        #: those whose chunks have been evicted.
-        self.total = Histogram(self.buckets)
-        #: Bumped on every observation — the sampler-facing merge
-        #: cache keys on it.
-        self.version = 0
-        #: Bumped whenever a retained chunk is evicted (invalidates
-        #: incremental merge state built over the evicted chunk).
-        self.evictions = 0
-        #: windows -> :class:`_SlideState`.
-        self._merge_cache = {}
 
     def __repr__(self):
         return (
@@ -354,118 +262,32 @@ class WindowedHistogram:
             f"chunks={len(self.chunks)} count={self.total.count}>"
         )
 
-    def _epoch(self, now=None):
-        if now is None:
-            now = self.clock()
-        return int(now // self.window_s)
-
-    def observe(self, value):
-        """Record one observation into the current tumbling window."""
-        epoch = self._epoch()
-        if not self.chunks or self.chunks[-1][0] != epoch:
-            self.chunks.append((epoch, Histogram._blank(self.buckets)))
-            if len(self.chunks) > self.retain:
-                del self.chunks[0]
-                self.evictions += 1
-        self.chunks[-1][1].observe(value)
+    def observe(self, value, now):
+        """Record one observation made at simulated time ``now``."""
+        epoch = int(now // self.window_s)
+        chunks = self.chunks
+        if not chunks or chunks[-1][0] != epoch:
+            chunks.append((epoch, Histogram(self.buckets)))
+            if len(chunks) > RETAIN_CHUNKS:
+                del chunks[0]
+        chunks[-1][1].observe(value)
         self.total.observe(value)
-        self.version += 1
 
-    def merged(self, windows=1, now=None):
-        """One mergeable :class:`Histogram` over the last ``windows``
-        tumbling windows ending at the current epoch (inclusive).
-
-        The result is cached and shared between calls — treat it as
-        read-only.  A *new* object is returned exactly when the
-        window's content may have changed, so callers can memoise
-        derived values (percentiles) on result identity.  Internally
-        the closed-chunk part of the window slides incrementally (see
-        :class:`_SlideState`): each step expires one chunk by exact
-        subtraction and folds in the chunk that just closed, instead of
-        re-merging every chunk under the window — the sampler calls
-        this every tick, so the merge must not rescan the window.
-        """
+    def merged(self, windows, now):
+        """A new :class:`Histogram` of the observations in the last
+        ``windows`` tumbling windows, ending with the one simulated
+        time ``now`` falls in."""
         if windows < 1:
             raise ValueError(f"windows must be >= 1, got {windows}")
-        floor = self._epoch(now) - windows
+        floor = int(now // self.window_s) - windows
         chunks = self.chunks
-        state = self._merge_cache.get(windows)
-        if state is None:
-            state = self._merge_cache[windows] = _SlideState(self.buckets)
-            state.evictions = self.evictions
-        included = state.included
-        live_in = bool(chunks) and chunks[-1][0] > floor
-        if (
-            state.result is not None
-            and state.version == self.version
-            and state.evictions == self.evictions
-            and state.live_in == live_in
-            and (not included or included[0][0] > floor)
-        ):
-            return state.result
-        base = state.base
-        expired = False
-        if state.evictions != self.evictions:
-            # Evicted chunks left the retained list but not our refs:
-            # subtract any the slide still holds (exact — the chunk
-            # object is intact), so saturated retention degrades to
-            # one extra subtraction per step, not a full re-merge.
-            state.evictions = self.evictions
-            oldest = chunks[0][0] if chunks else None
-            while included and (oldest is None or included[0][0] < oldest):
-                base._subtract(included.popleft()[1])
-                expired = True
-        # Expire closed chunks that fell below the floor (exact for
-        # the integer stats; extrema recomputed below).
-        while included and included[0][0] <= floor:
-            base._subtract(included.popleft()[1])
-            expired = True
-        # Fold in chunks that closed since the last build.  The live
-        # chunk (chunks[-1]) never enters the base: it is still
-        # mutable, so it merges fresh into every result instead.
-        hi = state.hi_epoch
-        fold = []
-        for index in range(len(chunks) - 2, -1, -1):
-            pair = chunks[index]
-            epoch = pair[0]
-            if epoch <= floor or (hi is not None and epoch <= hi):
-                break
-            fold.append(pair)
-        if fold:
-            state.hi_epoch = fold[0][0]
-            for pair in reversed(fold):
-                included.append(pair)
-                base.merge_from(pair[1])
-        if expired:
-            # Subtraction cannot shrink extrema: rebuild them from the
-            # included chunks' scalar stats (O(k) compares).
-            base.min = base.max = None
-            for _, chunk in included:
-                if chunk.min is not None and (
-                    base.min is None or chunk.min < base.min
-                ):
-                    base.min = chunk.min
-                if chunk.max is not None and (
-                    base.max is None or chunk.max > base.max
-                ):
-                    base.max = chunk.max
-        result = Histogram._blank(self.buckets)
-        result.counts = list(base.counts)
-        result.overflow = base.overflow
-        result.count = base.count
-        result.sum = base.sum
-        result.min = base.min
-        result.max = base.max
-        if live_in:
-            result.merge_from(chunks[-1][1])
-        state.version = self.version
-        state.live_in = live_in
-        state.result = result
+        start = len(chunks)
+        while start and chunks[start - 1][0] > floor:
+            start -= 1
+        result = Histogram(self.buckets)
+        for _, chunk in chunks[start:]:
+            result.merge_from(chunk)
         return result
-
-    def percentile(self, q, windows=1, now=None):
-        """Sliding-window q-quantile (None if the window is empty)."""
-        return self.merged(windows, now=now).percentile(q)
 
     # The generic instrument surface (Family conveniences, snapshots).
     @property
@@ -563,30 +385,11 @@ class Family:
         }
 
 
-class _WindowedFactory:
-    """Makes one family's :class:`WindowedHistogram` children."""
-
-    kind = WindowedHistogram.kind
-
-    def __init__(self, clock, window_s, buckets):
-        self.clock = clock
-        self.window_s = window_s
-        self.buckets = buckets
-
-    def __call__(self):
-        return WindowedHistogram(
-            self.clock, window_s=self.window_s, buckets=self.buckets
-        )
-
-
 class Registry:
     """Process-wide named metric families."""
 
-    def __init__(self, clock=None):
+    def __init__(self):
         self._families = {}
-        #: Time source for windowed instruments (the sim engine's
-        #: :meth:`~repro.sim.engine.Engine.clock` in a live world).
-        self.clock = clock
 
     def __repr__(self):
         return f"<Registry families={len(self._families)}>"
@@ -625,22 +428,10 @@ class Registry:
     def windowed_histogram(self, name, labels=(), window_s=1.0,
                            buckets=DEFAULT_LATENCY_BUCKETS):
         """The windowed-histogram family ``name`` (registered on first
-        use).  Children tumble on the registry clock; see
-        :class:`WindowedHistogram`."""
-        return self._family(
-            name, labels, _WindowedFactory(self.clock, window_s, buckets)
-        )
-
-    def set_clock(self, clock):
-        """Re-point the registry and its windowed instruments at ``clock``
-        (a world that ends swaps its engine's clock for a stopped one)."""
-        self.clock = clock
-        for family in self._families.values():
-            factory = family._factory
-            if isinstance(factory, _WindowedFactory):
-                factory.clock = clock
-                for _, child in family.items():
-                    child.clock = clock
+        use); see :class:`WindowedHistogram`."""
+        factory = lambda: WindowedHistogram(window_s, buckets)  # noqa: E731
+        factory.kind = WindowedHistogram.kind
+        return self._family(name, labels, factory)
 
     def families(self):
         """(name, family) pairs, sorted by name."""

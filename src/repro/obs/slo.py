@@ -27,6 +27,8 @@ violations are visible in the Chrome trace, the causal DAG, and
 
 import json
 
+from repro.obs.span import NULL_SPAN
+
 #: objective -> (is_distribution, default budget).
 _OBJECTIVES = {
     "p50": (True, 0.50),
@@ -249,7 +251,8 @@ class SLOEngine:
     def _close(self, slo, span, now, burn, value):
         """Recovery: close the violation span and stamp peak burn."""
         peak = self._peak.pop(slo.name, 0.0)
-        span.attrs["burn_rate"] = round(peak, 6)
+        if span is not NULL_SPAN:
+            span.attrs["burn_rate"] = round(peak, 6)
         recovered = span.child(
             "slo.recovered", slo=slo.name, burn_rate=round(burn, 6))
         recovered.finish(now)
@@ -265,8 +268,9 @@ class SLOEngine:
             span = self._open.get(slo.name)
             if span is not None:
                 peak = self._peak.pop(slo.name, 0.0)
-                span.attrs["burn_rate"] = round(peak, 6)
-                span.attrs["open_at_exit"] = True
+                if span is not NULL_SPAN:
+                    span.attrs["burn_rate"] = round(peak, 6)
+                    span.attrs["open_at_exit"] = True
                 span.finish(now)
                 del self._open[slo.name]
 

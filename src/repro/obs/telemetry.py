@@ -82,6 +82,7 @@ AUTO_BUCKETS = (
 
 #: Ribbon statistics appended per distribution per tick.
 PERCENTILES = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
+_QUANTILES = tuple(q for _, q in PERCENTILES)
 
 
 class Telemetry:
@@ -119,14 +120,14 @@ class Telemetry:
             ).labels()
         self._rebuild_ribbons()
         self.slo_engine = SLOEngine(slos, obs) if slos else None
+        #: (slo name, burn-rate column) per SLO.
+        self._burns = [
+            (slo.name, self._column(f"slo.{slo.name}.burn")) for slo in slos
+        ]
         self._schedulers = []
         self._routers = []
         self._links = []
         self._hosts = []
-        #: Slow-path columns (SLO burns) that may miss a tick and need
-        #: realignment — bound gauge/ribbon columns always append
-        #: exactly once per tick, so only these are checked.
-        self._loose = []
         self._page_size = None
         self._stopped = False
         self._proc = None
@@ -139,22 +140,15 @@ class Telemetry:
         return column
 
     def _rebuild_ribbons(self):
-        # [metric, hist, (column, ...), (q, ...), last window, last
-        # values] — the trailing two slots memoise percentile
-        # computation while the merged window object is unchanged
-        # between ticks.
+        # (hist, (column per PERCENTILES entry)), sorted by metric.
         self._ribbons = [
-            [
-                metric,
+            (
                 hist,
                 tuple(
                     self._column(f"{metric}.{suffix}")
                     for suffix, _ in PERCENTILES
                 ),
-                tuple(q for _, q in PERCENTILES),
-                None,
-                (),
-            ]
+            )
             for metric, hist in sorted(self._hists.items())
         ]
 
@@ -237,7 +231,7 @@ class Telemetry:
                 family, window_s=self.period, buckets=buckets
             ).labels()
             self._rebuild_ribbons()
-        hist.observe(value)
+        hist.observe(value, self.engine.now)
 
     # -- the sampler process ----------------------------------------------------
     def start(self):
@@ -285,18 +279,6 @@ class Telemetry:
         self._hosts = []
 
     # -- sampling ---------------------------------------------------------------
-    def _record(self, name, value):
-        """Slow-path record for series not bound at registration."""
-        if isinstance(value, float):
-            value = round(value, 9)
-        column = self.series.get(name)
-        if column is None:
-            # Created mid-tick: backfill up to the *previous* tick —
-            # the append below fills the current slot.
-            column = self.series[name] = [None] * (len(self.times) - 1)
-            self._loose.append(column)
-        column.append(value)
-
     def sample(self):
         """Take one snapshot of every registered gauge (one tick)."""
         engine = self.engine
@@ -331,33 +313,18 @@ class Telemetry:
         for entry in self._hosts:
             self._sample_host(entry)
 
-        for ribbon in self._ribbons:
-            window = ribbon[1].merged(self.ribbon_windows, now=now)
-            if window is not ribbon[4]:
-                ribbon[4] = window
-                if window.count:
-                    ribbon[5] = tuple(
-                        round(value, 9)
-                        for value in window.percentiles(ribbon[3])
-                    )
-                else:
-                    ribbon[5] = (None,) * len(ribbon[3])
-            for column, value in zip(ribbon[2], ribbon[5]):
-                column.append(value)
+        windows = self.ribbon_windows
+        for hist, columns in self._ribbons:
+            values = hist.merged(windows, now).percentiles(_QUANTILES)
+            for column, value in zip(columns, values):
+                column.append(None if value is None else round(value, 9))
 
         if self.slo_engine is not None:
             burns = self.slo_engine.evaluate(
                 now, self._window_for, self._gauge_for
             )
-            for name in sorted(burns):
-                self._record(f"slo.{name}.burn", round(burns[name], 6))
-
-        # Keep slow-path series aligned with the tick axis (bound
-        # columns appended exactly once each above).
-        depth = len(self.times)
-        for column in self._loose:
-            if len(column) < depth:
-                column.append(None)
+            for name, column in self._burns:
+                column.append(round(burns[name], 6))
 
     def _sample_host(self, entry):
         page_size = self._page_size
@@ -386,7 +353,7 @@ class Telemetry:
         if hist is None:
             return None
         windows = max(1, int(round(slo.window_s / self.period)))
-        return hist.merged(windows)
+        return hist.merged(windows, self.engine.now)
 
     def _gauge_for(self, slo):
         column = self.series.get(slo.metric)

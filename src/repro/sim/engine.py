@@ -148,24 +148,6 @@ class Engine:
         return self._now
 
     # -- observers ----------------------------------------------------------
-    @property
-    def observer(self):
-        """The sole observer, None if none, or a tuple if several.
-
-        Assigning replaces *all* observers (legacy single-observer
-        behaviour); use :meth:`add_observer` to stack observers without
-        clobbering ones already installed.
-        """
-        if not self._observers:
-            return None
-        if len(self._observers) == 1:
-            return self._observers[0]
-        return tuple(self._observers)
-
-    @observer.setter
-    def observer(self, fn):
-        self._observers = [] if fn is None else [fn]
-
     def add_observer(self, fn):
         """Append ``fn(now, event)`` to the observer fan-out list."""
         self._observers.append(fn)

@@ -152,15 +152,17 @@ class GeneratorFragment:
     process as :attr:`done`, chosen as ``ship`` chose before the chain
     took over the faulty path."""
 
-    def __init__(self, nms, wire_bytes, link, peer, category, phase, hop,
-                 span, name):
+    def __init__(self, shipment, wire_bytes, hop, name):
+        nms, link, peer = shipment.nms, shipment.link, shipment.peer
+        category, phase = shipment.category, shipment.phase
         if link.faults is None:
             pipe = generator_pipe(
                 nms, wire_bytes, link, peer, category, phase
             )
         else:
             pipe = reliable_fragment(
-                nms, wire_bytes, link, peer, category, hop, span, phase
+                nms, wire_bytes, link, peer, category, hop, shipment.span,
+                phase,
             )
         self.done = nms.engine.process(pipe, name=name)
 

@@ -56,6 +56,28 @@ def test_histogram_rejects_bad_bucket_specs():
         Histogram(buckets=(2.0, 1.0))
 
 
+def test_percentiles_read_several_quantiles_in_one_scan():
+    assert Histogram().percentiles((0.5, 0.99)) == (None, None)
+    hist = Histogram(buckets=(1.0, 2.0))
+    for value in (0.5, 5.0, 6.0):
+        hist.observe(value)
+    # 0.2 interpolates inside the first bucket; the rest overflow.
+    low, mid, high = hist.percentiles((0.2, 0.5, 0.99))
+    assert low == pytest.approx(0.8)
+    assert (mid, high) == (6.0, 6.0)
+    assert hist.percentile(0.2) == low
+
+
+def test_percentile_never_leaves_the_winning_bucket():
+    # Extrema that contradict the bucket counts (a hand-edited saved
+    # trace) collapse the estimate onto the bucket's lower bound.
+    hist = Histogram.from_snapshot({
+        "buckets": [1.0, 2.0], "counts": [0, 2], "overflow": 0,
+        "count": 2, "sum": 1.0, "min": 0.4, "max": 0.6,
+    })
+    assert hist.percentiles((0.5, 1.0)) == (1.0, 1.0)
+
+
 def test_percentile_of_empty_histogram_is_none():
     hist = Histogram()
     assert hist.percentile(0.5) is None
@@ -165,3 +187,12 @@ def test_registry_snapshot_is_json_shaped():
     assert json.loads(json.dumps(snap)) == snap
     assert snap["faults_total"]["series"][0]["labels"] == {"kind": "disk"}
     assert snap["imag_fault_seconds"]["kind"] == "histogram"
+
+
+def test_registry_and_family_reprs_count_their_contents():
+    registry = Registry()
+    family = registry.counter("faults_total", labels=("kind",))
+    family.inc(1, kind="disk")
+    family.inc(1, kind="imaginary")
+    assert repr(registry) == "<Registry families=1>"
+    assert repr(family) == "<Family faults_total labels=('kind',) series=2>"

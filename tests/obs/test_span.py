@@ -162,7 +162,7 @@ def test_disabled_instrumentation_never_observes_the_engine():
     eng = Engine()
     obs = Instrumentation(clock=lambda: eng.now, enabled=False)
     obs.attach_engine(eng)
-    assert eng.observer is None
+    assert eng._observers == []
     assert eng.kind_log is None
     eng.timeout(1.0)
     eng.run()

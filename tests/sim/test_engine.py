@@ -330,7 +330,7 @@ def test_close_ends_every_waiting_process_and_drops_the_queue():
     assert ended == [0.0]
     assert proc._target is None and inbox._getters[0].callbacks == []
     assert eng.peek() == float("inf") and not late.processed
-    assert eng.observer is None and eng.kind_log is None
+    assert eng._observers == [] and eng.kind_log is None
     assert eng.run() is None and eng.now == 0.0
     proc.close()  # closing twice does nothing
     assert ended == [0.0]

@@ -71,7 +71,7 @@ def test_format_renders_tail():
 
 def test_observer_off_by_default_costs_nothing():
     eng = Engine()
-    assert eng.observer is None
+    assert eng._observers == []
     eng.timeout(1.0)
     eng.run()  # no error, nothing recorded anywhere
 
@@ -107,7 +107,7 @@ def test_trace_full_migration_trial():
 def test_attach_joins_an_existing_observer_instead_of_clobbering():
     eng = Engine()
     seen = []
-    eng.observer = lambda now, event: seen.append(now)
+    eng.add_observer(lambda now, event: seen.append(now))
     log = TraceLog.attach(eng)
     eng.timeout(1.0)
     eng.run()
@@ -136,32 +136,3 @@ def test_detach_removes_only_its_own_observer():
     assert len(keeper) == 1
     assert len(leaver) == 0
     leaver.detach()  # idempotent
-
-
-def test_observer_property_reports_the_fanout():
-    eng = Engine()
-    assert eng.observer is None
-    log = TraceLog.attach(eng)
-    assert eng.observer == log.observe  # single observer: the callable
-
-    def extra(now, event):
-        pass
-
-    eng.add_observer(extra)
-    assert eng.observer == (log.observe, extra)  # several: a tuple
-
-
-def test_observer_assignment_replaces_the_fanout():
-    eng = Engine()
-    TraceLog.attach(eng)
-
-    seen = []
-    eng.observer = lambda now, event: seen.append(now)
-    eng.timeout(1.0)
-    eng.run()
-    assert seen == [1.0]
-
-    eng.observer = None
-    eng.timeout(1.0)
-    eng.run()
-    assert seen == [1.0]  # fan-out cleared
