@@ -77,6 +77,8 @@ def run_shape(kwargs):
 
     The engine's ``wall_s`` counts only dispatch-loop time, so the
     events/s figure excludes world construction and result packing.
+    Both numbers come from ``obs.host_meta()``, which keeps them after
+    the finished world detaches its engine.
     """
     best = None
     for _ in range(REPEATS):
@@ -87,9 +89,9 @@ def run_shape(kwargs):
             result = run_serve(config)
         else:
             result = run_stress(config)
-        engine = result.obs._engine
-        events = engine.dispatched
-        wall_s = engine.wall_s
+        host = result.obs.host_meta()
+        events = host["events_dispatched"]
+        wall_s = host["wall_s"]
         rate = events / wall_s if wall_s > 0 else 0.0
         row = {
             "events_dispatched": events,
@@ -118,7 +120,7 @@ def profile_shape(kwargs):
         for profiling in (pair % 2 == 1, pair % 2 == 0):
             with profiled(profiler) if profiling else nullcontext():
                 result = run_stress(StressConfig(seed=SEED, **kwargs))
-            wall[profiling] = result.obs._engine.wall_s
+            wall[profiling] = result.obs.host_meta()["wall_s"]
         ratios.append(wall[True] / wall[False])
     report = profiler.report()
     return {

@@ -8,7 +8,7 @@ nothing for it, mirroring a real TLB hit.
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import groupby, repeat
+from itertools import groupby
 
 from repro.accent.constants import PAGE_SIZE
 from repro.accent.ipc.message import (
@@ -25,10 +25,13 @@ from repro.accent.pager import OP_IMAG_DEATH
 from repro.accent.process import AccentProcess, ProcessStatus
 from repro.accent.vm.accessibility import IMAG_MEM, REAL_ZERO_MEM
 from repro.accent.vm.address_space import (
+    CHUNK_MASK,
+    CHUNK_SHIFT,
+    RESIDENT_CODE,
     AddressSpace,
     AddressSpaceError,
     ImaginaryMapping,
-    PageEntry,
+    OwedTally,
     Residency,
     VALIDATED,
 )
@@ -75,6 +78,8 @@ class Kernel:
         self.processes = {}
         self.stats = TransferStats()
         self.debugger = Debugger(host.name)
+        #: Bytes this kernel's processes owe through imaginary mappings.
+        self.owed = OwedTally()
 
     def __repr__(self):
         return f"<Kernel {self.host.name} processes={len(self.processes)}>"
@@ -88,6 +93,7 @@ class Kernel:
         process.status = ProcessStatus.RUNNABLE
         self.processes[process.name] = process
         self.host.register_space(process.space)
+        process.space.attach_tally(self.owed)
         # Ports this process can Receive on are now served from here.
         for right in process.rights_for(RECEIVE):
             right.port.move_home(self.host)
@@ -102,6 +108,11 @@ class Kernel:
                 f"no process {name!r} on host {self.host.name}"
             ) from None
 
+    def owed_pages(self):
+        """Pages this kernel's processes owe through imaginary
+        mappings (O(1): every space keeps the kernel's tally current)."""
+        return self.owed.bytes // PAGE_SIZE
+
     # -- memory reference path ----------------------------------------------------
     def touch(self, process, page_index, write=False):
         """Reference one page; ``None`` if free, else a cost generator
@@ -109,16 +120,21 @@ class Kernel:
         :func:`repro.workloads.runner.reference`).
         """
         space = process.space
-        entry = space.page_table.get(page_index)
-        if entry is not None and entry.residency is Residency.RESIDENT:
-            self.host.physical.touch(space.space_id, page_index)
-            entry.last_touch = self.engine._now
-            if entry.prefetched:
-                entry.prefetched = False
-                self.host.metrics.record_prefetch_hit()
-            if write and entry.page.shared:
-                return self._cow_break()
-            return None
+        # The resident fast path reads the space's columns in place.
+        base = space.chunks.get(page_index >> CHUNK_SHIFT)
+        if base is not None:
+            slot = base + (page_index & CHUNK_MASK)
+            if space.residency_codes[slot] == RESIDENT_CODE:
+                self.host.physical.touch(space.space_id, page_index)
+                space.touch_times[slot] = self.engine._now
+                bits = space.prefetch_bits
+                bit = 1 << (slot & 7)
+                if bits[slot >> 3] & bit:
+                    bits[slot >> 3] ^= bit
+                    self.host.metrics.record_prefetch_hit()
+                if write and space.is_shared(page_index):
+                    return self._cow_break()
+                return None
         return self._slow_touch(process, space, page_index, write)
 
     def _cow_break(self):
@@ -128,8 +144,7 @@ class Kernel:
         yield self.engine.timeout(self.calibration.cow_break_s)
 
     def _slow_touch(self, process, space, index, write):
-        entry = space.entry(index)
-        if entry is not None:
+        if space.has_page(index):
             # Real page, currently paged out to the local disk.
             yield from self.host.pager.disk_fault(space, index)
         else:
@@ -145,13 +160,10 @@ class Kernel:
                 yield from self.host.pager.imaginary_fault(space, index, region)
             else:  # pragma: no cover - region table holds only these two
                 raise KernelError(f"unknown region value {region!r}")
-        entry = space.entry(index)
-        entry.last_touch = self.engine.now
-        if entry.prefetched:
+        if space.note_reference(index, self.engine.now):
             # The page raced in via another fault's prefetch.
-            entry.prefetched = False
             self.host.metrics.record_prefetch_hit()
-        if write and entry.page.shared:
+        if write and space.is_shared(index):
             yield from self._cow_break()
 
     # -- IPC send path ----------------------------------------------------------
@@ -236,9 +248,9 @@ class Kernel:
 
         # Phase 2: collapse of process memory into a contiguous chunk,
         # delivered by memory-mapping (cost scales with run count).
-        real_runs = space.real_runs()
+        run_count = space.run_count()
         metrics.mark("excise.rimas.start")
-        yield self.engine.timeout(calibration.excise_rimas_s(len(real_runs)))
+        yield self.engine.timeout(calibration.excise_rimas_s(run_count))
         metrics.mark("excise.rimas.end")
 
         # The AMap, the real pages and the IOUs are read together, after
@@ -263,15 +275,12 @@ class Kernel:
                 "process_name": process.name,
                 "blueprint": process.blueprint,
                 "map_entries": process.map_entries,
-                "real_runs": len(real_runs),
+                "real_runs": run_count,
             },
         )
 
         resident = space.resident_page_indices()
-        pages = {
-            index: space.page_table[index].page
-            for index in space.real_page_indices()
-        }
+        pages = space.export_pages()
         sections = [RegionSection(pages, label="rimas")]
         sections.extend(self._owed_sections(space))
         rimas = Message(
@@ -283,10 +292,7 @@ class Kernel:
                 "resident_indices": resident,
                 # Reference recency per page: what a Denning working-set
                 # estimator needs (extension of the paper's §4.2.2).
-                "last_touch": {
-                    index: space.page_table[index].last_touch
-                    for index in space.real_page_indices()
-                },
+                "last_touch": dict(zip(pages, space.last_touches(pages))),
                 "excised_at": self.engine.now,
             },
         )
@@ -424,9 +430,7 @@ class Kernel:
         order: with a small frame pool a victim can be a page of
         ``space`` itself.  Each victim moves to the local disk at once.
         """
-        space.install_run(
-            indices, list(map(PageEntry, pages, repeat(Residency.RESIDENT)))
-        )
+        space.install_run(indices, pages)
         host = self.host
         for victim_space_id, victim_index in host.physical.claim(
             space.space_id, indices
@@ -434,7 +438,7 @@ class Kernel:
             victim_space = host.space_by_id(victim_space_id)
             host.disk.store_instant(
                 victim_space_id, victim_index,
-                victim_space.entry(victim_index).page,
+                victim_space.disk_image(victim_index),
             )
             victim_space.set_residency(victim_index, Residency.ON_DISK)
 
@@ -442,7 +446,10 @@ class Kernel:
     def _discard_space(self, space):
         """Free a departing space's frames and disk images and forget it
         (excise, terminate and kill)."""
-        self.host.physical.release_space(space.space_id, space.page_table)
+        space.detach_tally(self.owed)
+        self.host.physical.release_space(
+            space.space_id, space.real_page_indices()
+        )
         self.host.disk.drop_space(space.space_id)
         self.host.unregister_space(space)
 

@@ -140,8 +140,7 @@ class Pager:
             yield req
             yield self.engine.timeout(self.calibration.pager_overhead_s)
         page = yield from self.host.disk.read(space.space_id, index)
-        entry = space.entry(index)
-        entry.page = page
+        space.set_page(index, page)
         yield from self._make_resident(space, index)
         with self.cpu.held() as req:
             yield req
@@ -475,10 +474,10 @@ class Pager:
         """
         landed = sorted(pages)
         for index in landed:
-            if space.entry(index) is None:
+            if not space.has_page(index):
                 yield from self._install_resident(space, index, pages[index])
                 if index not in pending:
-                    space.page_table[index].prefetched = True
+                    space.mark_prefetched(index)
         with self.cpu.held() as req:
             yield req
             yield self.engine.timeout(self.calibration.map_in_s)
@@ -590,8 +589,8 @@ class Pager:
         if victim is not None:
             victim_space_id, victim_index = victim
             victim_space = self.host.space_by_id(victim_space_id)
-            entry = victim_space.entry(victim_index)
             yield from self.host.disk.write(
-                victim_space_id, victim_index, entry.page
+                victim_space_id, victim_index,
+                victim_space.disk_image(victim_index),
             )
             victim_space.set_residency(victim_index, Residency.ON_DISK)

@@ -7,7 +7,7 @@ from repro.accent.vm.accessibility import (
     REAL_ZERO_MEM,
     Accessibility,
 )
-from repro.accent.vm.address_space import AddressSpace, PageEntry, Residency
+from repro.accent.vm.address_space import AddressSpace, Residency
 from repro.accent.vm.amap import AMap, AMapRun
 from repro.accent.vm.intervals import IntervalMap
 from repro.accent.vm.page import Page
@@ -23,7 +23,6 @@ __all__ = [
     "IntervalMap",
     "OutOfFrames",
     "Page",
-    "PageEntry",
     "PhysicalMemory",
     "REAL_MEM",
     "REAL_ZERO_MEM",

@@ -149,9 +149,9 @@ class ResidualFlusher:
         # Only _pump sends here, and every push carries one region.
         region = message.first_section(RegionSection)
         for index in sorted(region.pages):
-            if space.entry(index) is not None:
+            if space.has_page(index):
                 continue  # a demand fault won the race
             yield from self.host.pager.install_pushed(
                 space, index, region.pages[index]
             )
-            space.page_table[index].prefetched = True
+            space.mark_prefetched(index)

@@ -1,7 +1,10 @@
 """Imaginary segments: memory owed through an IPC port."""
 
-import bisect
-from itertools import count, islice
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import MutableMapping, MutableSet
+from itertools import compress, count, repeat
+from operator import is_not
 
 _segment_ids = count(1)
 
@@ -35,6 +38,126 @@ class ImaginaryHandle:
         return f"<ImaginaryHandle seg={self.segment_id} via={self.backing_port!r}>"
 
 
+class PageStash(MutableMapping):
+    """A segment's pages by position in its sorted page indices.
+
+    One ``array('I')`` of indices and one list of pages replace a dict
+    keyed by an int object per page; a lookup is a bisection.  The
+    index set is fixed when the segment is made: a page may be replaced
+    or deleted, not added.  Iteration ascends.
+    """
+
+    __slots__ = ("indices", "_pages", "_count")
+
+    def __init__(self, pages):
+        #: Every page index the segment was made with, ascending.
+        self.indices = array("I", sorted(pages))
+        self._pages = list(map(pages.__getitem__, self.indices))
+        self._count = len(self._pages)
+
+    def position(self, index):
+        """Where ``index`` sits in :attr:`indices` (-1: nowhere)."""
+        position = bisect_left(self.indices, index)
+        if position < len(self.indices) and self.indices[position] == index:
+            return position
+        return -1
+
+    def get(self, index, default=None):
+        position = self.position(index)
+        page = self._pages[position] if position >= 0 else None
+        return default if page is None else page
+
+    def __getitem__(self, index):
+        page = self.get(index)
+        if page is None:
+            raise KeyError(index)
+        return page
+
+    def __contains__(self, index):
+        return self.get(index) is not None
+
+    def __setitem__(self, index, page):
+        position = self.position(index)
+        if position < 0:
+            raise KeyError(f"page {index} is not part of this segment")
+        if self._pages[position] is None:
+            self._count += 1
+        self._pages[position] = page
+
+    def __delitem__(self, index):
+        self[index]  # KeyError for a page not held
+        self._pages[self.position(index)] = None
+        self._count -= 1
+
+    def __iter__(self):
+        return compress(self.indices, map(is_not, self._pages, repeat(None)))
+
+    def __len__(self):
+        return self._count
+
+    def clear(self):
+        self._pages = [None] * len(self._pages)
+        self._count = 0
+
+
+class OwedPages(MutableSet):
+    """The pages of a segment not yet delivered: one flag byte per
+    page, by position in the segment's sorted indices."""
+
+    __slots__ = ("_stash", "_flags", "_count")
+
+    def __init__(self, stash):
+        self._stash = stash
+        self._flags = bytearray(b"\x01") * len(stash.indices)
+        self._count = len(stash.indices)
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        return set(iterable)
+
+    def __contains__(self, index):
+        position = self._stash.position(index)
+        return position >= 0 and self._flags[position] == 1
+
+    def __iter__(self):
+        return compress(self._stash.indices, self._flags)
+
+    def __len__(self):
+        return self._count
+
+    def take_above(self, index, count):
+        """Up to ``count`` owed indices above ``index``, ascending, each
+        no longer owed."""
+        indices = self._stash.indices
+        flags = self._flags
+        taken = []
+        position = flags.find(1, bisect_right(indices, index))
+        while position >= 0 and len(taken) < count:
+            flags[position] = 0
+            taken.append(indices[position])
+            position = flags.find(1, position + 1)
+        self._count -= len(taken)
+        return taken
+
+    def add(self, index):
+        position = self._stash.position(index)
+        if position < 0:
+            raise KeyError(f"page {index} is not part of this segment")
+        if not self._flags[position]:
+            self._flags[position] = 1
+            self._count += 1
+
+    def discard(self, index):
+        position = self._stash.position(index)
+        if position >= 0 and self._flags[position]:
+            self._flags[position] = 0
+            self._count -= 1
+
+    def clear(self):
+        self._flags = bytearray(len(self._flags))
+        self._count = 0
+
+
 class ImaginarySegment:
     """The backer-side object: a stash of pages promised to a receiver.
 
@@ -53,9 +176,8 @@ class ImaginarySegment:
         #: (None when untraced); propagated through :attr:`handle`.
         self.trace_ctx = trace_ctx
         #: page index -> Page (the cached data; mapped, not copied).
-        self.stash = dict(pages)
-        self._sorted_indices = sorted(self.stash)
-        self.owed = set(self.stash)
+        self.stash = PageStash(pages)
+        self.owed = OwedPages(self.stash)
         self.requests = 0
         self.pages_delivered = 0
         self.dead = False
@@ -104,29 +226,22 @@ class ImaginarySegment:
         part of the segment.
         """
         demanded = sorted(set(indices))
-        for index in demanded:
-            if index not in self.stash:
-                raise KeyError(
-                    f"page {index} is not part of segment {self.segment_id}"
-                )
+        stash = self.stash
+        pages = list(map(stash.get, demanded))
+        if None in pages:
+            raise KeyError(
+                f"page {demanded[pages.index(None)]} is not part of "
+                f"segment {self.segment_id}"
+            )
         self.requests += 1
-        result = {}
+        result = dict(zip(demanded, pages))
+        owed = self.owed
         for index in demanded:
-            result[index] = self.stash[index]
-            self.owed.discard(index)
+            owed.discard(index)
         fill = window - len(result)
         if fill > 0 and demanded:
-            ordered = self._sorted_indices
-            owed = self.owed
-            position = bisect.bisect_right(ordered, demanded[0])
-            # Walk the sorted indices in place: no copy of the tail.
-            for candidate in islice(ordered, position, None):
-                if candidate in owed:
-                    result[candidate] = self.stash[candidate]
-                    owed.discard(candidate)
-                    fill -= 1
-                    if not fill:
-                        break
+            for candidate in owed.take_above(demanded[0], fill):
+                result[candidate] = stash[candidate]
         self.pages_delivered += len(result)
         return result
 

@@ -82,10 +82,7 @@ def run_system_build(world, file_pages=2048, writes_per_stage=(0, 1, 1, 0)):
             sections=[
                 InlineSection(b"stage-control", label="control"),
                 RegionSection(
-                    {
-                        index: space.page_table[index].page
-                        for index in range(file_pages)
-                    },
+                    {index: space.page(index) for index in range(file_pages)},
                     label=f"{name}-output",
                 ),
             ],

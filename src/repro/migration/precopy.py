@@ -89,9 +89,7 @@ def precopy_migrate(
         )
         # By-value semantics: the kernel send path maps these pages
         # copy-on-write into the message (no manual sharing needed).
-        pages = {
-            index: space.page_table[index].page for index in round_indices
-        }
+        pages = {index: space.page(index) for index in round_indices}
         message = Message(
             dest_manager.port,
             OP_PRECOPY_ROUND,
@@ -173,5 +171,5 @@ def _redirty(space, indices):
     the freshest frame.
     """
     for index in indices:
-        entry = space.page_table[index]
-        entry.page = entry.page.write(0, entry.page.data[:1])
+        page = space.page(index)
+        space.set_page(index, page.write(0, page.data[:1]))

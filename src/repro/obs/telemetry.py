@@ -128,7 +128,6 @@ class Telemetry:
         self._routers = []
         self._links = []
         self._hosts = []
-        self._page_size = None
         self._stopped = False
         self._proc = None
 
@@ -327,20 +326,10 @@ class Telemetry:
                 column.append(round(burns[name], 6))
 
     def _sample_host(self, entry):
-        page_size = self._page_size
-        if page_size is None:
-            # Local import: obs must stay importable before the accent
-            # layer (which itself imports repro.obs) finishes loading.
-            from repro.accent.constants import PAGE_SIZE
-            page_size = self._page_size = PAGE_SIZE
-
         (host, physical, kernel, col_resident, col_imag, col_residual,
          col_backlog) = entry
         col_resident.append(physical.used)
-        imag = 0
-        for process in kernel.processes.values():
-            imag += process.space.imaginary_bytes // page_size
-        col_imag.append(imag)
+        col_imag.append(kernel.owed_pages())
         col_residual.append(host.nms.backing.owed_pages())
         flusher = host.flusher
         col_backlog.append(

@@ -8,13 +8,13 @@ contiguous runs, the resident set in physical memory and everything
 else on the local paging disk.
 """
 
+from array import array
 from dataclasses import dataclass
 
 from repro.accent.ipc.port import PortRight, RECEIVE, SEND
 from repro.accent.process import AccentProcess
-from repro.accent.vm.address_space import AddressSpace, PageEntry, Residency
-from repro.accent.vm.page import Page
-from repro.workloads.content import page_payloads
+from repro.accent.vm.address_space import AddressSpace, Residency
+from repro.workloads.content import payload_image
 from repro.workloads.layout import make_layout
 from repro.workloads.trace import build_trace
 
@@ -35,7 +35,11 @@ def build_process(host, spec, streams, name=None):
     plan = make_layout(spec, rng)
     trace = build_trace(spec, plan, rng)
 
-    space = AddressSpace(name=name or spec.name)
+    # The pages hold their workload's memoised payloads, so the space
+    # reads their bytes from that image and keeps no Page for them.
+    indices = plan.real_indices
+    image = payload_image(spec.name, indices)
+    space = AddressSpace(name=name or spec.name, image=image)
     space.validate(plan.region_start, plan.region_size)
     host.register_space(space)
 
@@ -43,8 +47,8 @@ def build_process(host, spec, streams, name=None):
     # recency: working-set pages were touched within the last τ; the
     # rest of the resident set earlier (it is a disk cache); paged-out
     # data long ago.  Three bulk calls then enter the pages, claim the
-    # resident set's frames in index order and write the rest to the
-    # paging disk.
+    # resident set's frames in index order and write the rest's bytes
+    # to the paging disk.
     now = host.engine.now
     window = host.calibration.ws_window_s
     draw = rng.random
@@ -52,13 +56,11 @@ def build_process(host, spec, streams, name=None):
     recent = plan.recent
     on_disk = Residency.ON_DISK
     in_memory = Residency.RESIDENT
-    indices = plan.real_indices
-    pages = list(map(Page, page_payloads(spec.name, indices)))
     residencies = []
-    touches = []
-    frames = []
-    images = {}
-    for index, page in zip(indices, pages):
+    touches = array("d")
+    frames = array("I")
+    paged_out = array("I")
+    for index in indices:
         if index in resident:
             frames.append(index)
             residencies.append(in_memory)
@@ -67,17 +69,18 @@ def build_process(host, spec, streams, name=None):
             else:
                 ago = window * (1.5 + 4.0 * draw())
         else:
-            images[index] = page
+            paged_out.append(index)
             residencies.append(on_disk)
             ago = window * (10.0 + 40.0 * draw())
         touches.append(now - ago)
-    entries = list(map(PageEntry, pages, residencies, touches))
-    space.install_run(indices, entries)
+    space.install_run(indices, residency=residencies, touches=touches)
     if host.physical.claim(space.space_id, frames):
         raise RuntimeError(
             f"{spec.name}: frame pool too small for its resident set"
         )
-    host.disk.store_images(space.space_id, images)
+    host.disk.store_images(
+        space.space_id, zip(paged_out, map(image.__getitem__, paged_out))
+    )
 
     # A self port (Receive) and a service port (Send) exercise the
     # transparent port-right transfer of ExciseProcess (§3.1).
@@ -117,8 +120,8 @@ def _check_footprint(spec, space):
             f"{spec.name}: built RS={space.resident_bytes()} "
             f"expected {spec.resident_bytes}"
         )
-    if len(space.real_runs()) != spec.real_runs:
+    if space.run_count() != spec.real_runs:
         raise AssertionError(
-            f"{spec.name}: built runs={len(space.real_runs())} "
+            f"{spec.name}: built runs={space.run_count()} "
             f"expected {spec.real_runs}"
         )

@@ -37,13 +37,19 @@ def page_payload(workload_name, page_index):
     return payload
 
 
-def page_payloads(workload_name, page_indices):
-    """:func:`page_payload` of each index, in order."""
+def payload_image(workload_name, page_indices):
+    """The memo of ``workload_name``'s payloads (page index -> bytes),
+    holding :func:`page_payload` of every index in ``page_indices``.
+
+    A built space reads each unwritten page's bytes there (its
+    ``image``) instead of keeping a ``Page`` per page.
+    """
     payloads = _PAYLOADS[workload_name]
-    try:
-        return list(map(payloads.__getitem__, page_indices))
-    except KeyError:  # a layout not seen before in this process
-        return [page_payload(workload_name, index) for index in page_indices]
+    if not all(map(payloads.__contains__, page_indices)):
+        # A layout not seen before in this process.
+        for index in page_indices:
+            page_payload(workload_name, index)
+    return payloads
 
 
 def page_head(workload_name, page_index):

@@ -13,8 +13,9 @@ Generates, deterministically from a seeded RNG:
   (FillZero faults).
 """
 
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Set, Tuple
 
 from repro.accent.constants import PAGE_SIZE
@@ -22,6 +23,11 @@ from repro.workloads.spec import Locality
 
 #: All workloads map their validated region at this page.
 BASE_PAGE = 128
+
+#: A plan's page-index lists are ``array('I')``: plans live as long as
+#: their processes, and an int object per page cost 2.8 MB on a
+#: 192-process cluster run.
+_indices = partial(array, "I")
 
 
 @dataclass
@@ -31,11 +37,11 @@ class LayoutPlan:
     region_start: int
     region_size: int
     #: Sorted page indices of real (existing) pages.
-    real_indices: List[int] = field(default_factory=list)
+    real_indices: array = field(default_factory=_indices)
     #: ``(first page, length)`` of each zero-fill gap around the runs.
     gaps: List[Tuple[int, int]] = field(default_factory=list)
     #: Page indices the process references remotely, in *touch order*.
-    touched_order: List[int] = field(default_factory=list)
+    touched_order: array = field(default_factory=_indices)
     #: Page indices resident in physical memory at migration time.
     resident: Set[int] = field(default_factory=set)
     #: Pages referenced within the last working-set window before
@@ -44,7 +50,7 @@ class LayoutPlan:
     #: it doubles as a disk cache, §4.2.3).
     recent: Set[int] = field(default_factory=set)
     #: Zero-fill pages the process will touch remotely.
-    zero_touches: List[int] = field(default_factory=list)
+    zero_touches: array = field(default_factory=_indices)
 
     @cached_property
     def touched(self):
@@ -115,11 +121,12 @@ def _select_touched(spec, rng, plan):
     real = plan.real_indices
     count = min(spec.touched_pages, len(real))
     if spec.locality is Locality.SEQUENTIAL:
-        plan.touched_order = _sequential_order(real, count, rng)
+        order = _sequential_order(real, count, rng)
     elif spec.locality is Locality.SCATTERED:
-        plan.touched_order = _scattered_order(real, count, rng)
+        order = _scattered_order(real, count, rng)
     else:
-        plan.touched_order = _clustered_order(real, count, rng)
+        order = _clustered_order(real, count, rng)
+    plan.touched_order = _indices(order)
 
 
 def _sequential_order(real, count, rng, density=0.78):
@@ -242,4 +249,4 @@ def _select_zero_touches(spec, rng, plan):
             continue
         seen.add(index)
         picks.append(index)
-    plan.zero_touches = picks
+    plan.zero_touches = _indices(picks)

@@ -65,11 +65,9 @@ def reference(kernel, process, name, index, write, verify, mismatches):
         if actual != expected and actual != written_head(name, index):
             mismatches.append((index, expected, actual))
     if write:
-        entry = space.page_table[index]
-        page = entry.page
-        entry.page = page.replace(
-            kernel.host.written_pages.stamp(name, index, page.data)
-        )
+        space.replace_page(index, kernel.host.written_pages.stamp(
+            name, index, space.page_bytes(index)
+        ))
 
 
 def remote_body(host, process, trace, result, terminate=True):

@@ -12,7 +12,6 @@ from repro.accent.vm.accessibility import (
 from repro.accent.vm.address_space import (
     AddressSpace,
     AddressSpaceError,
-    PageEntry,
     Residency,
 )
 from repro.accent.vm.page import Page
@@ -86,7 +85,7 @@ def test_invalidate_removes_regions_and_pages():
     space.invalidate(0, 32 * PAGE_SIZE)
     assert space.accessibility(0) is BAD_MEM
     assert space.accessibility(32 * PAGE_SIZE) is REAL_ZERO_MEM
-    assert space.entry(0) is None
+    assert not space.has_page(0)
 
 
 # ------------------------------------------------------------ contents ----
@@ -145,9 +144,8 @@ def test_install_page_and_entry():
     space = make_space()
     page = Page(b"content")
     space.install_page(3, page)
-    entry = space.entry(3)
-    assert entry.page is page
-    assert entry.residency is Residency.RESIDENT
+    assert space.page(3) is page
+    assert space.residency(3) is Residency.RESIDENT
 
 
 def test_install_page_outside_regions_rejected():
@@ -173,16 +171,18 @@ def test_install_into_imaginary_region():
     assert space.peek(PAGE_SIZE, 7) == b"fetched"
 
 
-def entries(count, residency=Residency.RESIDENT):
-    return [PageEntry(Page(bytes([i])), residency) for i in range(count)]
+def entries(count):
+    return [Page(bytes([i])) for i in range(count)]
 
 
 def test_install_run_enters_every_page():
     space = make_space()
     space.install_page(2, Page())
-    run = entries(3, Residency.ON_DISK)
-    space.install_run([5, 6, 9], run)
-    assert [space.entry(i) for i in (5, 6, 9)] == run
+    run = entries(3)
+    space.install_run([5, 6, 9], run, Residency.ON_DISK, [1.0, 2.0, 3.0])
+    assert [space.page(i) for i in (5, 6, 9)] == run
+    assert [space.residency(i) for i in (5, 6, 9)] == [Residency.ON_DISK] * 3
+    assert [space.last_touch(i) for i in (2, 5, 6, 9)] == [None, 1.0, 2.0, 3.0]
     assert space.real_page_indices() == [2, 5, 6, 9]
     assert space.real_runs() == [(2, 2), (5, 6), (9, 9)]
 
@@ -213,7 +213,7 @@ def test_install_run_rejects_bad_runs(indices, match):
     space = make_space()
     with pytest.raises(AddressSpaceError, match=match):
         space.install_run(indices, entries(len(indices)))
-    assert space.page_table == {}
+    assert space.real_page_indices() == []
 
 
 def test_install_run_rejects_a_run_crossing_two_regions():
@@ -236,15 +236,43 @@ def test_install_run_needs_one_entry_per_index():
     space = make_space()
     with pytest.raises(ValueError):
         space.install_run([1, 2], entries(1))
+    with pytest.raises(ValueError):
+        space.install_run([1, 2], entries(2), [Residency.RESIDENT])
+    with pytest.raises(ValueError):
+        space.install_run([1, 2], entries(2), touches=[0.0])
     space.install_run([], [])  # an empty run enters nothing
-    assert space.page_table == {}
+    assert space.real_page_indices() == []
 
 
 def test_set_residency():
     space = make_space()
     space.install_page(0, Page())
     space.set_residency(0, Residency.ON_DISK)
-    assert space.entry(0).residency is Residency.ON_DISK
+    assert space.residency(0) is Residency.ON_DISK
+
+
+def test_image_pages_get_a_page_only_where_one_is_needed():
+    """Pages entered from the image hold its bytes and no ``Page``; a
+    ``Page`` handed out is kept, an unshared one holding the image
+    bytes is dropped again, and a shared one is kept."""
+    image = {index: bytes([index]) * PAGE_SIZE for index in range(4)}
+    space = AddressSpace(image=image)
+    space.validate(0, 4 * PAGE_SIZE)
+    space.install_run([0, 1, 2])
+    assert space._pages == {}
+    assert space.page_bytes(1) is image[1] and not space.is_shared(1)
+    exported = space.export_pages()
+    assert [page.data for page in exported.values()] == [image[0], image[1], image[2]]
+    assert space._pages == {}  # the message's pages are not kept
+    handed = space.page(1)
+    assert space.page(1) is handed and handed.data is image[1]
+    space.set_page(1, Page(image[1]))  # read back from disk, say
+    assert 1 not in space._pages
+    shared = Page(image[2]).share()
+    space.set_page(2, shared)
+    assert space.page(2) is shared and space.is_shared(2)
+    space.replace_page(0, bytes(PAGE_SIZE))
+    assert space.peek(0, 4) == bytes(4)
 
 
 # ------------------------------------------------------------ stats ----

@@ -11,7 +11,7 @@ from repro.accent.process import (
     PCB_BYTES,
     ProcessStatus,
 )
-from repro.accent.vm.address_space import AddressSpace, PageEntry, Residency
+from repro.accent.vm.address_space import AddressSpace, Residency
 from repro.accent.vm.page import Page
 
 
@@ -33,7 +33,7 @@ def test_bulk_install_claims_a_frame(world):
     space = make_space()
     host.register_space(space)
     host.kernel.install_run(space, [0], [Page()])
-    assert space.entry(0).residency is Residency.RESIDENT
+    assert space.residency(0) is Residency.RESIDENT
     assert (space.space_id, 0) in host.physical
 
 
@@ -43,10 +43,7 @@ def test_bulk_claim_reports_an_overfill(world):
     host.physical.frame_count = 1
     space = make_space()
     host.register_space(space)
-    space.install_run([0, 1], [
-        PageEntry(Page(), Residency.RESIDENT),
-        PageEntry(Page(), Residency.RESIDENT),
-    ])
+    space.install_run([0, 1], [Page(), Page()])
     assert host.physical.claim(space.space_id, [0, 1]) == [
         (space.space_id, 0)
     ]
@@ -58,9 +55,9 @@ def test_bulk_disk_images_round_trip(world):
     space = make_space()
     host.register_space(space)
     page = Page(b"imaged")
-    space.install_run([0], [PageEntry(page, Residency.ON_DISK)])
+    space.install_run([0], [page], Residency.ON_DISK)
     host.disk.store_images(space.space_id, {0: page})
-    assert space.entry(0).residency is Residency.ON_DISK
+    assert space.residency(0) is Residency.ON_DISK
     assert host.disk.holds(space.space_id, 0)
     assert (space.space_id, 0) not in host.physical
 

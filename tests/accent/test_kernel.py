@@ -70,7 +70,7 @@ def test_touch_zero_page_fill_zero_faults(world):
     cost = world.source.kernel.touch(process, 2)
     assert cost is not None
     run(world, cost)
-    assert process.space.entry(2) is not None
+    assert process.space.has_page(2)
     assert world.metrics.faults["fill-zero"] == 1
 
 
@@ -81,7 +81,7 @@ def test_touch_on_disk_page_disk_faults(world):
     space.install_page(1, page, Residency.ON_DISK)
     world.source.disk.store_instant(space.space_id, 1, page)
     run(world, world.source.kernel.touch(process, 1))
-    assert space.entry(1).residency is Residency.RESIDENT
+    assert space.residency(1) is Residency.RESIDENT
     assert world.metrics.faults["disk"] == 1
 
 
@@ -120,10 +120,10 @@ def test_touch_prefetched_page_counts_hit(world):
     space = process.space
     space.install_page(0, Page())
     world.source.physical.allocate(space.space_id, 0)
-    space.page_table[0].prefetched = True
+    space.mark_prefetched(0)
     world.source.kernel.touch(process, 0)
     assert world.metrics.prefetch_hits == 1
-    assert not space.page_table[0].prefetched
+    assert not space.prefetched(0)
     # A second touch does not double-count.
     world.source.kernel.touch(process, 0)
     assert world.metrics.prefetch_hits == 1

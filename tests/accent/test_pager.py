@@ -35,9 +35,8 @@ def test_fill_zero_fault_installs_zero_page(world):
     pager = world.source.pager
 
     run(world, pager.fill_zero_fault(space, 3))
-    entry = space.entry(3)
-    assert entry.residency is Residency.RESIDENT
-    assert entry.page.data == bytes(PAGE_SIZE)
+    assert space.residency(3) is Residency.RESIDENT
+    assert space.page_bytes(3) == bytes(PAGE_SIZE)
     assert world.engine.now == pytest.approx(world.calibration.fill_zero_s)
     assert world.metrics.faults["fill-zero"] == 1
 
@@ -56,7 +55,7 @@ def test_disk_fault_costs_40_8_ms(world):
     world.source.disk.store_instant(space.space_id, 5, page)
 
     run(world, world.source.pager.disk_fault(space, 5))
-    assert space.entry(5).residency is Residency.RESIDENT
+    assert space.residency(5) is Residency.RESIDENT
     assert world.engine.now == pytest.approx(0.0408, rel=1e-6)
     assert world.metrics.faults["disk"] == 1
 
@@ -74,10 +73,9 @@ def test_imaginary_fault_fetches_from_backer(world):
     mapping = space.region_at(4 * PAGE_SIZE)
     run(world, world.source.pager.imaginary_fault(space, 4, mapping))
 
-    entry = space.entry(4)
-    assert entry is not None
-    assert entry.page.data == page_payload("w", 4)
-    assert space.entry(5) is None  # prefetch off
+    assert space.has_page(4)
+    assert space.page_bytes(4) == page_payload("w", 4)
+    assert not space.has_page(5)  # prefetch off
     assert world.metrics.faults["imaginary"] == 1
     assert 4 not in segment.owed
     assert 5 in segment.owed
@@ -95,10 +93,10 @@ def test_imaginary_fault_with_prefetch_installs_companions(world):
     mapping = space.region_at(4 * PAGE_SIZE)
     run(world, world.source.pager.imaginary_fault(space, 4, mapping))
 
-    assert space.entry(4) is not None and not space.entry(4).prefetched
-    assert space.entry(5) is not None and space.entry(5).prefetched
-    assert space.entry(6) is not None and space.entry(6).prefetched
-    assert space.entry(7) is None
+    assert space.has_page(4) and not space.prefetched(4)
+    assert space.has_page(5) and space.prefetched(5)
+    assert space.has_page(6) and space.prefetched(6)
+    assert not space.has_page(7)
     assert world.metrics.prefetched_pages == 2
 
 
@@ -136,10 +134,10 @@ def test_eviction_pages_out_to_disk(world):
     run(world, pager.fill_zero_fault(space, 1))
     run(world, pager.fill_zero_fault(space, 2))
 
-    assert space.entry(0).residency is Residency.ON_DISK
+    assert space.residency(0) is Residency.ON_DISK
     assert world.source.disk.holds(space.space_id, 0)
-    assert space.entry(1).residency is Residency.RESIDENT
-    assert space.entry(2).residency is Residency.RESIDENT
+    assert space.residency(1) is Residency.RESIDENT
+    assert space.residency(2) is Residency.RESIDENT
     assert world.source.disk.writes == 1
 
 
@@ -148,11 +146,11 @@ def test_evicted_page_comes_back_via_disk_fault(world):
     space = make_space(world.source)
     pager = world.source.pager
     run(world, pager.fill_zero_fault(space, 0))
-    space.page_table[0].page = space.page_table[0].page.write(0, b"v0")
+    space.poke(0, b"v0")
     run(world, pager.fill_zero_fault(space, 1))
     run(world, pager.fill_zero_fault(space, 2))  # evicts page 0
     run(world, pager.disk_fault(space, 0))
-    assert space.entry(0).residency is Residency.RESIDENT
+    assert space.residency(0) is Residency.RESIDENT
     assert space.peek(0, 2) == b"v0"
 
 
@@ -211,8 +209,8 @@ def test_reply_omitting_the_demanded_page_raises_pager_error(world):
         PagerError, match=r"reply omitted demanded pages \[1\]"
     ):
         run(world, host.pager.imaginary_fault(space, 1, space.region_at(0)))
-    assert space.entry(1) is None
-    assert space.entry(2).prefetched
+    assert not space.has_page(1)
+    assert space.prefetched(2)
 
 
 def test_reply_part_landing_mid_install_is_not_waited_for_twice(world):
@@ -244,10 +242,10 @@ def test_reply_part_landing_mid_install_is_not_waited_for_twice(world):
     host.pager.batch, host.pager.pipeline = 8, 4
     run(world, host.pager.imaginary_fault(space, 1, space.region_at(0)))
     engine.run()
-    assert [space.entry(i).page.data[:1] for i in (1, 2, 3)] == [
+    assert [space.page_bytes(i)[:1] for i in (1, 2, 3)] == [
         b"\x01", b"\x02", b"\x03"
     ]
-    assert space.entry(3).prefetched
+    assert space.prefetched(3)
 
 
 def _post_unmatched_reply(world):

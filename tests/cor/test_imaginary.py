@@ -87,3 +87,28 @@ def test_fully_delivered_flag():
     assert not segment.fully_delivered
     segment.take_batch([0], 2)
     assert segment.fully_delivered
+
+
+def test_stash_and_owed_behave_as_mapping_and_set():
+    """The columns behind a segment read as a mapping of its pages and
+    a set of the owed indices, both ascending; the index set is fixed
+    when the segment is made."""
+    segment = make_segment([9, 2, 5])
+    stash, owed = segment.stash, segment.owed
+    assert list(stash) == [2, 5, 9] and list(owed) == [2, 5, 9]
+    replacement = Page(b"new")
+    stash[5] = replacement
+    assert stash[5] is replacement and len(stash) == 3
+    del stash[9]
+    assert 9 not in stash and list(stash.items())[-1] == (5, replacement)
+    with pytest.raises(KeyError):
+        stash[9]
+    with pytest.raises(KeyError):
+        stash[4] = Page()
+    owed.discard(5)
+    owed.discard(4)  # not part of the segment: nothing to discard
+    assert owed == {2, 9} and owed <= {2, 5, 9} and {9, 4} & owed == {9}
+    with pytest.raises(KeyError):
+        owed.add(4)
+    owed.add(5)
+    assert len(owed) == 3

@@ -20,16 +20,17 @@ SHAPE = dict(
 
 
 def _live_pages(spaces, hosts):
-    """Every page ``spaces`` and ``hosts`` (their kernels' processes
-    and their disks) hold."""
+    """The bytes of every page ``spaces`` and ``hosts`` (their kernels'
+    processes and their disks) hold."""
     spaces = list(spaces)
     for host in hosts:
         spaces.extend(p.space for p in host.kernel.processes.values())
         for images in host.disk._store.values():
-            yield from images.values()
+            for image in images.values():
+                yield image if type(image) is bytes else image.data
     for space in spaces:
-        for entry in space.page_table.values():
-            yield entry.page
+        for index in space.real_page_indices():
+            yield space.page_bytes(index)
 
 
 def test_equal_live_pages_share_one_bytes_object(monkeypatch):
@@ -47,8 +48,8 @@ def test_equal_live_pages_share_one_bytes_object(monkeypatch):
     assert result.verified
     spaces = [job.process.space for job in result.jobs]
     by_contents = defaultdict(set)
-    for page in held + list(_live_pages(spaces, ())):
-        by_contents[page.data].add(id(page.data))
+    for data in held + list(_live_pages(spaces, ())):
+        by_contents[data].add(id(data))
     stamped = [data for data in by_contents if data.startswith(WRITE_MARKER)]
     assert stamped, "the shape must stamp pages"
     copied = [data[:32] for data, ids in by_contents.items() if len(ids) > 1]

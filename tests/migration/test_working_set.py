@@ -87,7 +87,7 @@ def test_last_touch_tracking_updates_on_remote_execution(bed):
     built = build_process(world.source, WORKLOADS["minprog"], world.streams)
     space = built.process.space
     target = built.plan.touched_order[0]
-    stamped_before = space.page_table[target].last_touch
+    stamped_before = space.last_touch(target)
     assert stamped_before is not None and stamped_before <= 0
 
     def toucher():
@@ -97,4 +97,4 @@ def test_last_touch_tracking_updates_on_remote_execution(bed):
             yield from cost
 
     world.engine.run(until=world.engine.process(toucher()))
-    assert space.page_table[target].last_touch == pytest.approx(5.0)
+    assert space.last_touch(target) == pytest.approx(5.0)

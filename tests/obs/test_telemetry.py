@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accent.constants import PAGE_SIZE
 from repro.cluster import StressConfig, run_stress
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -361,6 +362,27 @@ def test_sampled_migration_records_aligned_series():
     assert "link.ether.inflight" in telemetry.series
     # The fault-service ribbon appears once remote execution faults.
     assert "fault.service.p99" in telemetry.series
+
+
+def test_owed_page_tally_equals_the_walk_at_every_tick(monkeypatch):
+    """Each host's owed-pages gauge reads its kernel's running tally; at
+    every tick of a sampled stress run the tally equals the sum over
+    the kernel's processes that the sampler used to walk."""
+    seen = []
+    sample_host = Telemetry._sample_host
+
+    def sample(telemetry, entry):
+        kernel = entry[2]
+        walk = sum(process.space.imaginary_bytes // PAGE_SIZE
+                   for process in kernel.processes.values())
+        seen.append((kernel.owed_pages(), walk))
+        sample_host(telemetry, entry)
+
+    monkeypatch.setattr(Telemetry, "_sample_host", sample)
+    run_stress(StressConfig(hosts=4, procs=12, seed=3, sample_period=0.1))
+    assert len(seen) > 100
+    assert max(owed for owed, _ in seen) > 0
+    assert [owed for owed, _ in seen] == [walk for _, walk in seen]
 
 
 def test_slos_alone_imply_default_sampling():

@@ -181,6 +181,19 @@ def test_every_bench_module_is_a_gate_and_holds_no_tests():
             path.name)
 
 
+def test_engine_throughput_measures_a_finished_world():
+    """``run_shape`` reads a closed world's counts from
+    ``obs.host_meta()``: the world detached its engine when it closed."""
+    module = importlib.import_module("benchmarks.bench_engine_throughput")
+    measured = module.run_shape(dict(module.SHAPES)["small"])
+    _, artifact = committed("engine_throughput")
+    pinned = row(artifact, shape="small")
+    assert measured["verified"] is True
+    assert measured["events_per_s"] > 0
+    for field in ("events_dispatched", "determinism_hash"):
+        assert measured[field] == pinned[field], field
+
+
 @pytest.mark.parametrize("name", BENCHES)
 def test_committed_artifact_passes_its_own_gate(name):
     spec, artifact = committed(name)

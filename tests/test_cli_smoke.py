@@ -58,10 +58,13 @@ def test_critical_path_analyzer(tmp_path):
 
 
 def test_engine_profiler_flamegraph(tmp_path):
+    # The reference stress shape: about 0.4 s of engine time, so about
+    # 100 samples.  A 6-host/18-process run gave a starved sampler about
+    # 8, too few for the coverage bound to hold.
     flame, report_path = tmp_path / "p.speedscope.json", tmp_path / "p-report.json"
     code, text = run_cli(
         ["profile", "--flamegraph", str(flame), "--json", str(report_path),
-         "stress", "--hosts", "6", "--procs", "18", "--seed", "7"]
+         "stress", "--hosts", "16", "--procs", "64", "--seed", "7"]
     )
     assert code == 0
     assert "per-layer host share" in text

@@ -7,15 +7,16 @@ They must leave exactly the state the per-page forms they replaced
 left.  This file keeps those forms as oracles — :func:`per_page_build`
 (the builder's loop), :func:`per_page_rebuild` (insertion, one frame
 claim and one install per page), :func:`per_page_amap` (one ``add_run``
-per page) and :func:`per_page_owed_sections` (one ``space.entry``
-probe per imaginary page) — and compares:
+per page) and :func:`per_page_owed_sections` (one ``space.has_page``
+probe per imaginary page) — and compares, through the space's page
+accessors:
 
-* the page table, in dict order: index, residency, ``last_touch``,
+* every page in index order: index, residency, ``last_touch``,
   ``prefetched`` and page bytes, plus the sorted index list and the
-  imaginary-byte counter;
+  imaginary-byte counter (the page columns keep no insertion order);
 * ``physical.resident_keys()`` (the host's LRU order);
-* each space's disk images, in dict order, and that each image is the
-  page its table holds;
+* each space's disk images, in dict order, and that each image holds
+  the very bytes object of the page it images;
 * the workload stream's ``getstate()`` after the build;
 * the AMap runs, and that ``amap()`` equals :func:`per_page_amap` on
   every space compared;
@@ -83,7 +84,7 @@ def per_page_build(host, spec, streams, name=None):
             space.install_page(index, page, Residency.ON_DISK)
             host.disk.store_instant(space_id, index, page)
             ago = window * (10.0 + 40.0 * rng.random())
-        space.page_table[index].last_touch = now - ago
+        space.note_reference(index, now - ago)
 
     self_port = host.create_port(name=f"{spec.name}-self")
     service_port = host.create_port(name=f"{spec.name}-service")
@@ -107,9 +108,9 @@ def per_page_install(kernel, space, index, page):
     if victim is not None:
         victim_space_id, victim_index = victim
         victim_space = kernel.host.space_by_id(victim_space_id)
-        entry = victim_space.entry(victim_index)
         kernel.host.disk.store_instant(
-            victim_space_id, victim_index, entry.page
+            victim_space_id, victim_index,
+            victim_space.disk_image(victim_index),
         )
         victim_space.set_residency(victim_index, Residency.ON_DISK)
     space.install_page(index, page, Residency.RESIDENT)
@@ -156,7 +157,7 @@ def per_page_rebuild(kernel, space, amap, shipped, owed):
 
 
 def per_page_owed_sections(space):
-    """Excision's IOU sections, one ``space.entry`` probe per page of
+    """Excision's IOU sections, one ``space.has_page`` probe per page of
     each imaginary region."""
     owed_by_handle = {}
     for run_start, run_end, value in space.regions.runs():
@@ -165,7 +166,7 @@ def per_page_owed_sections(space):
         first = run_start // PAGE_SIZE
         last = (run_end - 1) // PAGE_SIZE
         for index in range(first, last + 1):
-            if space.entry(index) is None:
+            if not space.has_page(index):
                 owed_by_handle.setdefault(value.handle, []).append(index)
     return [
         IOUSection(handle, indices, label="inherited-iou")
@@ -209,19 +210,22 @@ def snapshot(host, spaces):
         ],
     }
     for space in spaces:
-        table = space.page_table
         images = host.disk._store.get(space.space_id, {})
         state[space.name] = {
             "table": [
-                (index, entry.residency, repr(entry.last_touch),
-                 entry.prefetched, entry.page.data)
-                for index, entry in table.items()
+                (index, space.residency(index),
+                 repr(space.last_touch(index)), space.prefetched(index),
+                 space.page_bytes(index))
+                for index in space.real_page_indices()
             ],
             "sorted": space.real_page_indices(),
             "imaginary_bytes": space.imaginary_bytes,
             "images": [
-                (index, page.data, page is table[index].page)
-                for index, page in images.items()
+                (index, data, data is space.page_bytes(index))
+                for index, data in (
+                    (index, image if type(image) is bytes else image.data)
+                    for index, image in images.items()
+                )
             ],
             "amap": list(space.amap().runs()),
         }

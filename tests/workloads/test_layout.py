@@ -77,7 +77,7 @@ def test_plan_run_count_matches_spec(spec):
 
 def test_real_indices_sorted_and_unique(spec):
     plan = layout_for(spec)
-    assert plan.real_indices == sorted(set(plan.real_indices))
+    assert list(plan.real_indices) == sorted(set(plan.real_indices))
 
 
 def test_touched_and_resident_are_real_pages(spec):
@@ -165,11 +165,11 @@ def layout_and_trace_digests(name, seed):
     plan = make_layout(spec, rng)
     trace = build_trace(spec, plan, rng)
     layout = {
-        "real_indices": plan.real_indices,
-        "touched_order": plan.touched_order,
+        "real_indices": list(plan.real_indices),
+        "touched_order": list(plan.touched_order),
         "resident": sorted(plan.resident),
         "recent": sorted(plan.recent),
-        "zero_touches": plan.zero_touches,
+        "zero_touches": list(plan.zero_touches),
     }
     steps = [list(step) for step in trace.steps]
     return digest(layout), digest(steps)

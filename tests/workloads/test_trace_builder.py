@@ -97,12 +97,11 @@ def test_builder_places_nonresident_pages_on_disk(world):
     built = build_process(world.source, spec, world.streams)
     space = built.process.space
     for index in built.plan.real_indices:
-        entry = space.entry(index)
         if index in built.plan.resident:
-            assert entry.residency is Residency.RESIDENT
+            assert space.residency(index) is Residency.RESIDENT
             assert (space.space_id, index) in world.source.physical
         else:
-            assert entry.residency is Residency.ON_DISK
+            assert space.residency(index) is Residency.ON_DISK
             assert world.source.disk.holds(space.space_id, index)
 
 
@@ -172,8 +171,8 @@ def page_table_digest(name, seed):
     built = build_process(world.source, WORKLOADS[name], world.streams)
     space = built.process.space
     pages = [
-        [index, entry.residency.value, repr(entry.last_touch)]
-        for index, entry in sorted(space.page_table.items())
+        [index, space.residency(index).value, repr(space.last_touch(index))]
+        for index in space.real_page_indices()
     ]
     frames = [
         index for _, index in world.source.physical.resident_keys(
