@@ -42,7 +42,7 @@ __version__ = "1.0.0"
 # Public names are resolved lazily (PEP 562) so that importing low-level
 # subpackages (e.g. repro.sim) never pulls in the whole stack.
 _LAZY = {
-    "Calibration": ("repro.experiments.calibration", "Calibration"),
+    "Calibration": ("repro.calibration", "Calibration"),
     "ChainResult": ("repro.testbed", "ChainResult"),
     "MigrationResult": ("repro.testbed", "MigrationResult"),
     "PrecopyResult": ("repro.testbed", "PrecopyResult"),

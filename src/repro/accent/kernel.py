@@ -30,7 +30,6 @@ from repro.accent.vm.address_space import (
     RESIDENT_CODE,
     AddressSpace,
     AddressSpaceError,
-    ImaginaryMapping,
     OwedTally,
     Residency,
     VALIDATED,
@@ -156,10 +155,8 @@ class Kernel:
                 )
             if region is VALIDATED:
                 yield from self.host.pager.fill_zero_fault(space, index)
-            elif isinstance(region, ImaginaryMapping):
+            else:
                 yield from self.host.pager.imaginary_fault(space, index, region)
-            else:  # pragma: no cover - region table holds only these two
-                raise KernelError(f"unknown region value {region!r}")
         if space.note_reference(index, self.engine.now):
             # The page raced in via another fault's prefetch.
             self.host.metrics.record_prefetch_hit()
@@ -312,7 +309,7 @@ class Kernel:
         firsts, lasts = space._page_runs()
         owed_by_handle = {}
         for run_start, run_end, value in space.regions.runs():
-            if not isinstance(value, ImaginaryMapping):
+            if value is VALIDATED:
                 continue
             cursor = run_start // PAGE_SIZE
             last = (run_end - 1) // PAGE_SIZE
@@ -324,7 +321,7 @@ class Kernel:
                 cursor = run_last + 1
             owed.extend(range(cursor, last + 1))
             if owed:
-                owed_by_handle.setdefault(value.handle, []).extend(owed)
+                owed_by_handle.setdefault(value, []).extend(owed)
         return [
             IOUSection(handle, indices, label="inherited-iou")
             for handle, indices in owed_by_handle.items()
@@ -411,7 +408,7 @@ class Kernel:
 
     @staticmethod
     def _map_owed(space, pages, owed, missing):
-        """Map ``pages`` imaginary, one mapping per run of one IOU;
+        """Map ``pages`` imaginary, one region per run of one IOU;
         ``missing`` names a page no IOU covers."""
         for handle, subrun in groupby(pages, owed.get):
             indices = list(subrun)
@@ -463,8 +460,8 @@ class Kernel:
         space = process.space
         handles = set()
         for _, _, value in space.regions.runs():
-            if isinstance(value, ImaginaryMapping):
-                handles.add(value.handle)
+            if value is not VALIDATED:
+                handles.add(value)
         for handle in sorted(handles, key=lambda h: h.segment_id):
             self.post(
                 Message(

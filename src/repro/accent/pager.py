@@ -146,8 +146,9 @@ class Pager:
             yield req
             yield self.engine.timeout(self.calibration.map_in_s)
 
-    def imaginary_fault(self, space, index, mapping):
-        """Fetch an owed page from its backing port (paper §2.2)."""
+    def imaginary_fault(self, space, index, handle):
+        """Fetch an owed page from its backing port (paper §2.2);
+        ``handle`` is the owing segment's ImaginaryHandle."""
         key = (space.space_id, index)
         shared = self._inflight.get(key)
         if shared is not None:
@@ -170,10 +171,10 @@ class Pager:
             "fault",
             parent=obs.current_phase,
             track=f"pager/{self.host.name}",
-            trace_id=mapping.handle.trace_id,
+            trace_id=handle.trace_id,
             fault_id=fault_id,
             page=index,
-            segment=mapping.handle.segment_id,
+            segment=handle.segment_id,
         )
         lifecycle = obs.lifecycle
         if lifecycle is not None:
@@ -181,7 +182,7 @@ class Pager:
                 fault_id,
                 trace_id=fault_span.trace_id,
                 page=index,
-                segment_id=mapping.handle.segment_id,
+                segment_id=handle.segment_id,
                 host=self.host.name,
                 now=fault_started,
             )
@@ -197,12 +198,12 @@ class Pager:
                     yield req
                     yield engine.timeout(self.calibration.pager_overhead_s)
                 rtt = yield from self._fetch(
-                    space, mapping, ((fault_id, index, fault_span),),
+                    space, handle, ((fault_id, index, fault_span),),
                     {index: None},
                 )
             else:
                 rtt = yield from self._coalesce(
-                    space, index, mapping, fault_id, fault_span
+                    space, index, handle, fault_id, fault_span
                 )
             self.host.metrics.record_imag_latency(
                 engine.now - fault_started, rtt
@@ -224,7 +225,7 @@ class Pager:
             # the failure: drop the frame's hold so the two are no cycle.
             done = None  # noqa: F841
 
-    def _coalesce(self, space, index, mapping, fault_id, fault_span):
+    def _coalesce(self, space, index, handle, fault_id, fault_span):
         """Generator: bring one fault to a batched fetch; returns the rtt.
 
         The first fault against a (space, segment) pair becomes the
@@ -233,7 +234,7 @@ class Pager:
         can join, then spawns one :meth:`_fetch` for the whole batch.
         Every member (leader included) just waits for its own page.
         """
-        key = (space.space_id, mapping.handle.segment_id)
+        key = (space.space_id, handle.segment_id)
         collector = self._collectors.get(key)
         if collector is not None and not collector.closed:
             joined = collector.add(self.engine, fault_id, index, fault_span)
@@ -251,12 +252,12 @@ class Pager:
         if self._collectors.get(key) is collector:
             del self._collectors[key]
         self.engine.process(
-            self._fetch_batch(space, mapping, collector),
+            self._fetch_batch(space, handle, collector),
             name=f"{self.host.name}-imag-batch",
         )
         return (yield page_done)
 
-    def _fetch_batch(self, space, mapping, collector):
+    def _fetch_batch(self, space, handle, collector):
         """Process body: one :meth:`_fetch` for a closed collector.
 
         A terminal error fails each member's page event with the typed
@@ -265,7 +266,7 @@ class Pager:
         """
         try:
             yield from self._fetch(
-                space, mapping, collector.faults, dict(collector.page_events)
+                space, handle, collector.faults, dict(collector.page_events)
             )
         except (PagerError, ResidualDependencyError) as error:
             for event in collector.page_events.values():
@@ -273,7 +274,7 @@ class Pager:
                     event.fail(error)
                     event.defuse()
 
-    def _fetch(self, space, mapping, faults, pending):
+    def _fetch(self, space, handle, faults, pending):
         """Generator: resolve ``faults`` through the PageSource walk.
 
         ``faults`` lists (fault_id, page_index, fault_span) in raise
@@ -300,9 +301,7 @@ class Pager:
             fault_ids = {index: fault_id for fault_id, index, _ in faults}
         # Store-off this degenerates to the single origin source, and
         # each request is byte-identical to the pre-store protocol.
-        resolution = self.host.resolver.resolve(
-            mapping.handle, sorted(pending)
-        )
+        resolution = self.host.resolver.resolve(handle, sorted(pending))
         if resolution.local:
             with self.cpu.held() as req:
                 yield req
@@ -324,7 +323,7 @@ class Pager:
         for source in sources:
             last = source is sources[-1]
             request = self._request(
-                source, mapping, faults, pending, resolution, request_id
+                source, handle, faults, pending, resolution, request_id
             )
             causal.attach(request, span)
             stream = self._streams[stream_key] = _ReplyStream(engine)
@@ -412,7 +411,7 @@ class Pager:
             )
         return rtt
 
-    def _request(self, source, mapping, faults, pending, resolution,
+    def _request(self, source, handle, faults, pending, resolution,
                  request_id):
         """The read request for the ``pending`` pages at ``source``.
 
@@ -426,7 +425,7 @@ class Pager:
             if source.kind == "origin":
                 op, payload = OP_IMAG_READ, IMAG_REQUEST_PAYLOAD_BYTES
                 meta = {"fault_id": fault_id, "page_index": index,
-                        "segment_id": mapping.handle.segment_id}
+                        "segment_id": handle.segment_id}
             else:
                 op = OP_STORE_READ
                 payload = IMAG_REQUEST_PAYLOAD_BYTES + CONTENT_ID_BYTES
@@ -444,7 +443,7 @@ class Pager:
                 # store-on a local split must not shrink the backer's
                 # prefetch reach.
                 meta = {"request_id": request_id, "faults": asked,
-                        "segment_id": mapping.handle.segment_id,
+                        "segment_id": handle.segment_id,
                         "window": max(self.batch, len(faults)),
                         "pipeline": self.pipeline}
             else:

@@ -95,24 +95,6 @@ def _code_of(residency):
     return RESIDENT_CODE if residency is Residency.RESIDENT else ON_DISK_CODE
 
 
-class ImaginaryMapping:
-    """Region-table value marking memory owed through a backing port.
-
-    ``handle`` is opaque to the VM layer; the copy-on-reference facility
-    stores whatever it needs to route page requests (typically a port
-    reference plus an offset translation).
-    """
-
-    __slots__ = ("handle", "base_offset")
-
-    def __init__(self, handle, base_offset=0):
-        self.handle = handle
-        self.base_offset = base_offset
-
-    def __repr__(self):
-        return f"<ImaginaryMapping handle={self.handle!r}>"
-
-
 class OwedTally:
     """A running total of the bytes a set of spaces owe through
     imaginary mappings.
@@ -147,8 +129,8 @@ class AddressSpace:
     def __init__(self, name=None, image=None):
         self.space_id = next(_space_ids)
         self.name = name or f"space-{self.space_id}"
-        #: Byte-granular region table; values are VALIDATED or
-        #: :class:`ImaginaryMapping` instances.
+        #: Byte-granular region table; values are VALIDATED or the
+        #: handle of the imaginary segment that owes the memory.
         self.regions = IntervalMap()
         self.image = image
         #: ``index >> CHUNK_SHIFT`` -> the chunk's first column slot.
@@ -204,16 +186,15 @@ class AddressSpace:
             )
         self.regions.add(start, start + size, VALIDATED)
 
-    def map_imaginary(self, start, size, handle, base_offset=0):
-        """Map ``[start, start+size)`` to an imaginary object."""
+    def map_imaginary(self, start, size, handle):
+        """Map ``[start, start+size)`` to the imaginary segment behind
+        ``handle``; adjacent runs of one handle merge."""
         self._check_range(start, size)
         for run_start, run_end, _ in self.regions.overlapping(start, start + size):
             raise AddressSpaceError(
                 f"imaginary map overlaps region [{run_start}, {run_end})"
             )
-        self.regions.add(
-            start, start + size, ImaginaryMapping(handle, base_offset)
-        )
+        self.regions.add(start, start + size, handle)
         # A fresh mapping holds no real pages yet: all of it is owed.
         self._owe(size)
 

@@ -12,8 +12,7 @@ _segment_ids = count(1)
 class ImaginaryHandle:
     """What a receiver holds: enough to route page requests.
 
-    Stored as the ``handle`` of an
-    :class:`~repro.accent.vm.address_space.ImaginaryMapping` and inside
+    Stored as the region-table value of the memory it owes and inside
     :class:`~repro.accent.ipc.message.IOUSection`; the pager addresses
     Imaginary Read Requests to ``backing_port`` tagged with
     ``segment_id``.

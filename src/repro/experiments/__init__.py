@@ -1,1 +1,1 @@
-"""Experiment harness: calibration, tables, figures, claims."""
+"""Experiment harness: tables, figures, claims."""

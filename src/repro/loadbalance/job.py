@@ -134,24 +134,20 @@ class MigratableJob:
         # raises while running lands on its own root, not on whatever
         # migration happens to be in flight at the same instant.
         obs = self.world.obs
-        exec_span = obs.tracer.span(
-            "exec", process=self.name, host=host.name
-        )
-        obs.push_phase(exec_span)
-        try:
-            if (yield from self._body(host)) == "paused":
-                self._signal_paused()
-                return "paused"
-            yield from host.kernel.terminate(self.process.name)
-        except ResidualDependencyError as error:
-            # A source crash severed a residual dependency: the kernel
-            # killed the process, so the job ends here.
-            self._killed(error)
-            self._end(error)
-            return "killed"
-        finally:
-            exec_span.finish()
-            obs.pop_phase(exec_span)
+        with obs.phase(
+            obs.tracer.span("exec", process=self.name, host=host.name)
+        ):
+            try:
+                if (yield from self._body(host)) == "paused":
+                    self._signal_paused()
+                    return "paused"
+                yield from host.kernel.terminate(self.process.name)
+            except ResidualDependencyError as error:
+                # A source crash severed a residual dependency: the
+                # kernel killed the process, so the job ends here.
+                self._killed(error)
+                self._end(error)
+                return "killed"
         self.finished_at = engine.now
         self._end()
         return "finished"

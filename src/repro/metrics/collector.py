@@ -17,7 +17,6 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from repro.obs import Instrumentation
-from repro.obs import _UNSET
 
 LinkRecord = namedtuple("LinkRecord", "time bytes category source dest")
 LinkRecord.__doc__ = "One fragment on the wire at a simulated instant."
@@ -129,13 +128,11 @@ class MetricsCollector:
         self._nms_children = {}
 
     # -- recording ----------------------------------------------------------
-    def record_link(self, nbytes, category, source, dest, phase=_UNSET):
+    def record_link(self, nbytes, category, source, dest, phase=None):
         """A fragment of ``nbytes`` just crossed the link.
 
         ``phase`` is the span to credit the bytes to, resolved by the
-        sender at ship time (None for unattributed traffic); left
-        unset, the instrumentation falls back to the executing
-        context's active phase.
+        sender at ship time (None for unattributed traffic).
         """
         self.link_records.append(
             self.engine.now, nbytes, category, source, dest

@@ -8,12 +8,12 @@ peer manager, which reconstructs the process with InsertProcess.
 
 from repro.accent.ipc.message import Message, RegionSection
 from repro.accent.pager import OP_FLUSH_REGISTER
-from repro.accent.vm.address_space import ImaginaryMapping
+from repro.accent.vm.address_space import VALIDATED
 from repro.faults.errors import TransportError
 from repro.migration.plan import PlanContext, TransferOptions
 from repro.migration.precopy import OP_PRECOPY_ROUND, precopy_migrate
 from repro.migration.strategy import Strategy
-from repro.obs import causal
+from repro.obs import NULL_SPAN, causal
 
 
 class MigrationError(Exception):
@@ -83,56 +83,50 @@ class MigrationManager:
             source=self.host.name,
             dest=dest_manager.host.name,
         )
-        obs.migration_roots[process_name] = root
         core, rimas = yield from self._excise(process_name, dest_manager, root)
         plan = strategy.plan(PlanContext(self, rimas, options))
 
         transfer_span = root.child("transfer")
-        obs.push_phase(transfer_span)
-        if options.pipeline > 1:
-            yield from self._transfer_pipelined(
-                process_name, dest_manager, core, rimas, plan,
-                root, transfer_span,
-            )
-            return
         try:
-            # Connection setup plus Core-message handling dominate this
-            # phase; the paper measures it at roughly one second (§4.3.2).
-            with transfer_span.child("core") as core_span:
-                causal.attach(core, core_span)
-                metrics.mark("core.start")
-                yield self.engine.timeout(
-                    self.host.calibration.migration_setup_s
-                )
-                yield from kernel.send(core)
-                metrics.mark("core.end")
+            with obs.phase(transfer_span):
+                if options.pipeline > 1:
+                    yield from self._transfer_pipelined(
+                        core, rimas, plan, transfer_span
+                    )
+                    return
+                # Connection setup plus Core-message handling dominate
+                # this phase; the paper measures it at roughly one
+                # second (§4.3.2).
+                with transfer_span.child("core") as core_span:
+                    causal.attach(core, core_span)
+                    metrics.mark("core.start")
+                    yield self.engine.timeout(
+                        self.host.calibration.migration_setup_s
+                    )
+                    yield from kernel.send(core)
+                    metrics.mark("core.end")
 
-            with transfer_span.child("rimas") as rimas_span:
-                causal.attach(rimas, rimas_span)
-                metrics.mark("rimas.start")
-                yield from plan.execute(self, rimas)
-                yield from kernel.send(rimas)
-                metrics.mark("rimas.end")
+                with transfer_span.child("rimas") as rimas_span:
+                    causal.attach(rimas, rimas_span)
+                    metrics.mark("rimas.start")
+                    yield from plan.execute(self, rimas)
+                    yield from kernel.send(rimas)
+                    metrics.mark("rimas.end")
         except TransportError as error:
-            transfer_span.finish()
-            obs.pop_phase(transfer_span)
             yield from self._rollback(
-                process_name, dest_manager, error, core, rimas
+                process_name, dest_manager, error, root, core, rimas
             )
-        transfer_span.finish()
-        obs.pop_phase(transfer_span)
 
     def _excise(self, process_name, dest_manager, root):
         """Generator: excise the process under an ``excise`` span;
         returns its Core and RIMAS messages, addressed to the peer."""
         metrics = self.host.metrics
-        excise_span = root.child("excise")
-        metrics.obs.push_phase(excise_span)
-        metrics.mark("excise.start")
-        core, rimas = yield from self.host.kernel.excise_process(process_name)
-        metrics.mark("excise.end")
-        excise_span.finish()
-        metrics.obs.pop_phase(excise_span)
+        with metrics.obs.phase(root.child("excise")):
+            metrics.mark("excise.start")
+            core, rimas = yield from self.host.kernel.excise_process(
+                process_name
+            )
+            metrics.mark("excise.end")
         # The process no longer exists anywhere until InsertProcess
         # completes at the peer; the freeze span (separate track, since
         # it overlaps transfer + insert) measures that outage.
@@ -141,8 +135,7 @@ class MigrationManager:
         rimas.dest = dest_manager.port
         return core, rimas
 
-    def _transfer_pipelined(self, process_name, dest_manager, core, rimas,
-                            plan, root, transfer_span):
+    def _transfer_pipelined(self, core, rimas, plan, transfer_span):
         """Generator: ship Core and RIMAS concurrently (pipeline > 1).
 
         Connection setup and the plan's carve cost are still paid
@@ -150,10 +143,9 @@ class MigrationManager:
         independent processes whose fragments interleave on the link
         (the destination serve loop accepts either arrival order).  If
         either leg hits a transport fault, the other is allowed to
-        settle before the standard rollback runs.
+        settle before the first leg's error is raised.
         """
         metrics = self.host.metrics
-        obs = metrics.obs
         yield self.engine.timeout(self.host.calibration.migration_setup_s)
         yield from plan.execute(self, rimas)
 
@@ -174,13 +166,9 @@ class MigrationManager:
             ),
         ]
         yield self.engine.all_of(legs)
-        errors = [leg.value for leg in legs if leg.value is not None]
-        transfer_span.finish()
-        obs.pop_phase(transfer_span)
-        if errors:
-            yield from self._rollback(
-                process_name, dest_manager, errors[0], core, rimas
-            )
+        for leg in legs:
+            if leg.value is not None:
+                raise leg.value
 
     def _ship_leg(self, message, span, mark):
         """Generator: send one context message on its own process.
@@ -200,7 +188,7 @@ class MigrationManager:
         span.finish()
         return None
 
-    def _rollback(self, process_name, dest_manager, error, core=None,
+    def _rollback(self, process_name, dest_manager, error, root, core=None,
                   rimas=None):
         """Generator: undo a failed transfer, then raise
         :class:`MigrationAborted`.
@@ -211,10 +199,10 @@ class MigrationManager:
         point at this host's own backer, so later faults resolve without
         touching the network.  Without ``core`` the process was never
         excised (a failed pre-copy round) and keeps running here.
+        ``root`` is the migration's root span.
         """
         metrics = self.host.metrics
-        obs = metrics.obs
-        self.host.metrics.obs.registry.counter(
+        metrics.obs.registry.counter(
             "migration_aborts_total", labels=("host",)
         ).inc(1, host=self.host.name)
         dest_manager.abort_insertion(process_name, error)
@@ -222,8 +210,8 @@ class MigrationManager:
             metrics.mark("rollback.start")
             yield from self.host.kernel.insert_process(core, rimas)
             metrics.mark("rollback.end")
-        root = obs.migration_roots.pop(process_name, None)
-        if root is not None:
+        # A finished root was closed by the peer's insertion.
+        if root.end is None:
             for child in root.children:
                 if child.end is None:
                     child.finish()
@@ -297,39 +285,25 @@ class MigrationManager:
         metrics = self.host.metrics
         obs = metrics.obs
         # The Core message's causal context names the migration that
-        # shipped it; climb to its root rather than trusting the
-        # process-name registry alone (robust to cross-world traces).
-        root = causal.root_of(causal.parent_of(core))
-        if root is None:
-            root = obs.migration_roots.get(name)
+        # shipped it (none when tracing is off).
+        root = causal.root_of(causal.parent_of(core, NULL_SPAN))
         if rimas.meta.get("precopy"):
             self._merge_precopy_stash(name, rimas)
-        insert_span = (
-            root.child("insert", host=self.host.name)
-            if root is not None
-            else None
-        )
-        if insert_span is not None:
-            obs.push_phase(insert_span)
-        metrics.mark("insert.start")
-        process = yield from self.host.kernel.insert_process(core, rimas)
-        metrics.mark("insert.end")
-        if insert_span is not None:
-            insert_span.finish()
-            obs.pop_phase(insert_span)
-        if root is not None:
-            for child in root.children:
-                if child.name == "freeze" and child.end is None:
-                    child.finish()
-            root.finish()
-            obs.migration_roots.pop(name, None)
+        with obs.phase(root.child("insert", host=self.host.name)):
+            metrics.mark("insert.start")
+            process = yield from self.host.kernel.insert_process(core, rimas)
+            metrics.mark("insert.end")
+        for child in root.children:
+            if child.name == "freeze" and child.end is None:
+                child.finish()
+        root.finish()
         event = self._insertion_events.pop(name, None)
         if event is not None:
             event.succeed(process)
         if self.host.flusher is not None:
             self._register_flush(name, process, root)
 
-    def _register_flush(self, name, process, root=None):
+    def _register_flush(self, name, process, root):
         """Ask each inherited segment's backer to push its owed pages.
 
         Registrations carry the migration root's causal context so the
@@ -337,8 +311,8 @@ class MigrationManager:
         """
         handles = {}
         for _start, _end, value in process.space.regions.runs():
-            if isinstance(value, ImaginaryMapping):
-                handles[value.handle.segment_id] = value.handle
+            if value is not VALIDATED:
+                handles[value.segment_id] = value
         for segment_id, handle in sorted(handles.items()):
             register = Message(
                 dest=handle.backing_port,
@@ -346,8 +320,7 @@ class MigrationManager:
                 reply_port=self.host.flusher.port,
                 meta={"process_name": name, "segment_id": segment_id},
             )
-            if root is not None:
-                causal.attach(register, root)
+            causal.attach(register, root)
             self.host.kernel.post(register)
 
     # -- pre-copy support (Theimer's V baseline, §5) -----------------------------

@@ -19,6 +19,7 @@ from collections import namedtuple
 
 from repro.accent.ipc.message import Message, RegionSection
 from repro.faults.errors import TransportError
+from repro.obs import causal
 
 #: Message op for an iterative pre-copy round.
 OP_PRECOPY_ROUND = "migrate.precopy.round"
@@ -75,49 +76,47 @@ def precopy_migrate(
         source=host.name,
         dest=dest_manager.host.name,
     )
-    obs.migration_roots[process_name] = root
 
     rounds = []
     round_indices = list(all_indices)
-    precopy_span = root.child("precopy")
-    obs.push_phase(precopy_span)
-    metrics.mark("precopy.start")
-    while True:
-        started = engine.now
-        round_span = precopy_span.child(
-            f"round {len(rounds) + 1}", pages=len(round_indices)
-        )
-        # By-value semantics: the kernel send path maps these pages
-        # copy-on-write into the message (no manual sharing needed).
-        pages = {index: space.page(index) for index in round_indices}
-        message = Message(
-            dest_manager.port,
-            OP_PRECOPY_ROUND,
-            sections=[RegionSection(pages, force_copy=True, label="precopy")],
-            meta={"process_name": process_name},
-        )
-        try:
-            yield from kernel.send(message)
-        except TransportError as error:
-            # The process never stopped and still runs here, so the
-            # rollback only discards the peer's partial stash.
-            round_span.finish()
-            obs.pop_phase(precopy_span)
-            yield from manager._rollback(process_name, dest_manager, error)
-        round_span.finish()
-        elapsed = engine.now - started
-        rounds.append(PrecopyRound(len(round_indices), elapsed))
+    try:
+        with obs.phase(root.child("precopy")) as precopy_span:
+            metrics.mark("precopy.start")
+            while True:
+                started = engine.now
+                # By-value semantics: the kernel send path maps these
+                # pages copy-on-write into the message (no manual
+                # sharing needed).
+                pages = {index: space.page(index) for index in round_indices}
+                message = Message(
+                    dest_manager.port,
+                    OP_PRECOPY_ROUND,
+                    sections=[
+                        RegionSection(pages, force_copy=True, label="precopy")
+                    ],
+                    meta={"process_name": process_name},
+                )
+                with precopy_span.child(
+                    f"round {len(rounds) + 1}", pages=len(round_indices)
+                ):
+                    yield from kernel.send(message)
+                elapsed = engine.now - started
+                rounds.append(PrecopyRound(len(round_indices), elapsed))
 
-        # The process kept running: some pages are dirty again.
-        dirtied_count = min(len(all_indices), int(dirty_rate_pps * elapsed))
-        if dirtied_count <= stop_threshold or len(rounds) >= max_rounds:
-            final_dirty = sorted(rng.sample(all_indices, dirtied_count))
-            break
-        round_indices = sorted(rng.sample(all_indices, dirtied_count))
-        _redirty(space, round_indices)
-
-    precopy_span.finish()
-    obs.pop_phase(precopy_span)
+                # The process kept running: some pages are dirty again.
+                dirtied_count = min(
+                    len(all_indices), int(dirty_rate_pps * elapsed)
+                )
+                if (dirtied_count <= stop_threshold
+                        or len(rounds) >= max_rounds):
+                    final_dirty = sorted(rng.sample(all_indices, dirtied_count))
+                    break
+                round_indices = sorted(rng.sample(all_indices, dirtied_count))
+                _redirty(space, round_indices)
+    except TransportError as error:
+        # The process never stopped and still runs here, so the
+        # rollback only discards the peer's partial stash.
+        yield from manager._rollback(process_name, dest_manager, error, root)
 
     # Stop the process: everything from here is downtime.
     metrics.mark("downtime.start")
@@ -139,27 +138,25 @@ def precopy_migrate(
     rimas.meta["precopy"] = True
 
     transfer_span = root.child("transfer")
-    obs.push_phase(transfer_span)
+    # The destination finds the migration's root from the Core message.
+    causal.attach(core, transfer_span)
     try:
-        with transfer_span.child("core"):
-            metrics.mark("core.start")
-            yield engine.timeout(host.calibration.migration_setup_s)
-            yield from kernel.send(core)
-            metrics.mark("core.end")
-        with transfer_span.child("rimas"):
-            metrics.mark("rimas.start")
-            yield from kernel.send(rimas)
-            metrics.mark("rimas.end")
+        with obs.phase(transfer_span):
+            with transfer_span.child("core"):
+                metrics.mark("core.start")
+                yield engine.timeout(host.calibration.migration_setup_s)
+                yield from kernel.send(core)
+                metrics.mark("core.end")
+            with transfer_span.child("rimas"):
+                metrics.mark("rimas.start")
+                yield from kernel.send(rimas)
+                metrics.mark("rimas.end")
     except TransportError as error:
-        transfer_span.finish()
-        obs.pop_phase(transfer_span)
         # Reinsert the whole space, not just the final dirty delta.
         rimas.sections[position] = region
         yield from manager._rollback(
-            process_name, dest_manager, error, core, rimas
+            process_name, dest_manager, error, root, core, rimas
         )
-    transfer_span.finish()
-    obs.pop_phase(transfer_span)
     return rounds
 
 

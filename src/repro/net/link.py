@@ -46,15 +46,6 @@ class Link:
             f"drops={self.drops}>"
         )
 
-    def reset_peaks(self):
-        """Re-arm the high-water marks for a fresh trial.
-
-        Back-to-back runs against one world would otherwise report the
-        earlier trial's peak; the current :attr:`inflight` (not zero)
-        is the correct floor — transmissions can straddle the reset.
-        """
-        self.peak_inflight = self.inflight
-
     def enter(self):
         """Count a frame in flight and queue it for the medium.
 

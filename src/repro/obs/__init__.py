@@ -19,6 +19,7 @@ and the plain-text summary tree behind ``repro inspect``.
 """
 
 from collections import Counter as _Counter
+from contextlib import contextmanager
 
 from repro.obs.causal import TraceContext
 from repro.obs.critpath import (
@@ -103,11 +104,6 @@ __all__ = [
 ]
 
 
-#: Sentinel distinguishing "caller resolved no phase" (None) from
-#: "caller did not resolve a phase at all" (fall back to the context).
-_UNSET = object()
-
-
 class Instrumentation:
     """One world's tracer + registry + phase-attribution state."""
 
@@ -122,22 +118,9 @@ class Instrumentation:
         #: Fault-lifecycle profiler, or None when disabled — hot-path
         #: sites guard with a single attribute load.
         self.lifecycle = LifecycleProfiler() if enabled else None
-        #: process name -> open root migration span (cross-host lookup:
-        #: the destination manager parents its insert span here).
-        self.migration_roots = {}
-        #: Phase stack for code running outside any simulated process
-        #: (tests driving the API by hand, setup code).
-        self._phases = []
-        #: Per-simulated-process phase stacks: Process -> [spans].
-        #: Concurrent migrations each run in their own driver process,
-        #: so attribution must follow *whose* code is executing, not a
-        #: single global stack (which the last pusher would own).
-        self._proc_phases = {}
-        #: Identities of every span ever pushed as a phase — lets
-        #: :meth:`phase_for` find the attribution target by walking a
-        #: span's ancestry (spans are kept alive by the tracer, so ids
-        #: are stable).
-        self._phase_ids = set()
+        #: Simulated process (None: code outside any process) -> its
+        #: open phase span; see :meth:`phase`.
+        self._open_phases = {}
         self._engine = None
         # category -> interned "bytes.<category>" counter key.
         self._link_keys = {}
@@ -148,7 +131,6 @@ class Instrumentation:
         # labeled registry lookup per simulated event would be far
         # too slow.
         self._event_log = []
-        self._engines = []
         #: :meth:`host_meta` as it stood when the engine was detached.
         self._host_meta = None
 
@@ -170,7 +152,6 @@ class Instrumentation:
         self._engine = engine
         if self.enabled:
             engine.kind_log = self._event_log
-            self._engines.append(engine)
 
     def detach_engine(self):
         """Keep what the run recorded and let its engine go.
@@ -186,65 +167,50 @@ class Instrumentation:
         now = engine.now
         self.tracer._clock = lambda: now
         self._engine = None
-        self._engines = []
-        self._proc_phases.clear()
         if self.telemetry is not None:
             self.telemetry.detach()
 
     # -- phase attribution --------------------------------------------------------
-    def _context_stack(self):
-        """The phase stack of whatever code is executing right now:
-        the active simulated process's own stack, or the global one
-        when no process is running (or no engine is attached)."""
-        engine = self._engine
-        if engine is not None:
-            proc = engine.active_process
-            if proc is not None:
-                stack = self._proc_phases.get(proc)
-                if stack:
-                    return stack
-        return self._phases
-
     @property
     def current_phase(self):
-        """The innermost open phase of the *executing context* — the
-        active simulated process's stack top, or the global stack top
-        outside any process."""
-        stack = self._context_stack()
-        return stack[-1] if stack else None
-
-    def push_phase(self, span):
-        """Make ``span`` the attribution target for the current context."""
-        if span is NULL_SPAN:
-            return
+        """The open phase of the executing simulated process, or of
+        code running outside any process; None when there is none."""
+        open_phases = self._open_phases
+        if not open_phases:
+            return None
         engine = self._engine
-        proc = engine.active_process if engine is not None else None
-        if proc is not None:
-            stack = self._proc_phases.get(proc)
-            if stack is None:
-                stack = self._proc_phases[proc] = []
-        else:
-            stack = self._phases
-        stack.append(span)
-        self._phase_ids.add(id(span))
+        return open_phases.get(
+            engine.active_process if engine is not None else None
+        )
 
-    def pop_phase(self, span):
-        """Retire ``span`` as an attribution target (tolerates
-        out-of-order retirement within a stack)."""
+    def phase(self, span):
+        """Context manager: ``span`` is the executing process's open
+        phase for the block, the target that :meth:`on_fault` credits
+        and that :meth:`phase_for` finds.  On exit the previous phase
+        (almost always none) is restored and ``span`` finishes.
+        :data:`NULL_SPAN` is its own no-op block."""
         if span is NULL_SPAN:
-            return
+            return NULL_SPAN
+        span.is_phase = True
+        return self._opened(span)
+
+    @contextmanager
+    def _opened(self, span):
         engine = self._engine
-        proc = engine.active_process if engine is not None else None
-        stack = self._proc_phases.get(proc) if proc is not None else None
-        if stack is None or span not in stack:
-            stack = self._phases
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:
-            stack.remove(span)
-        if proc is not None and not self._proc_phases.get(proc, True):
-            # Drop the empty stack so finished processes can be freed.
-            del self._proc_phases[proc]
+        # Keyed by the process that opened the phase: a process closed
+        # at the end of its world exits the block with none active.
+        owner = engine.active_process if engine is not None else None
+        open_phases = self._open_phases
+        previous = open_phases.get(owner)
+        open_phases[owner] = span
+        try:
+            yield span
+        finally:
+            if previous is None:
+                del open_phases[owner]
+            else:
+                open_phases[owner] = previous
+            span.finish()
 
     def phase_for(self, span):
         """The nearest enclosing *phase* span of ``span`` (inclusive),
@@ -252,19 +218,15 @@ class Instrumentation:
         send time, from their causal parentage — per-fragment credit
         then lands on the owning migration's phase no matter which
         other phases are open when the fragment finally crosses."""
-        phase_ids = self._phase_ids
-        while span is not None and span is not NULL_SPAN:
-            if id(span) in phase_ids:
+        while span is not None:
+            if span.is_phase:
                 return span
             span = span.parent
         return None
 
-    def on_link(self, nbytes, category, phase=_UNSET):
-        """A fragment crossed the wire: credit ``phase`` (resolved by
-        the sender via :meth:`phase_for`), or the context's active
-        phase when the caller did not resolve one."""
-        if phase is _UNSET:
-            phase = self.current_phase
+    def on_link(self, nbytes, category, phase):
+        """A fragment crossed the wire: credit ``phase``, which the
+        sender resolved via :meth:`phase_for` (None: unattributed)."""
         if phase is None:
             return
         key = self._link_keys.get(category)
@@ -287,18 +249,16 @@ class Instrumentation:
 
     def host_meta(self):
         """Host-side run metadata: events dispatched and wall-clock
-        seconds spent in dispatch, summed over every engine this world
-        ran, as they stood at :meth:`detach_engine` once it ran.
-        ``None`` when no engine was ever attached (hand-scripted obs,
-        foreign traces) so such exports stay byte-stable."""
-        engines = self._engines
-        if not engines and self._engine is not None:
-            engines = [self._engine]
-        if not engines:
+        seconds spent in dispatch by this world's engine, as they stood
+        at :meth:`detach_engine` once it ran.  ``None`` when no engine
+        was ever attached (hand-scripted obs, foreign traces) so such
+        exports stay byte-stable."""
+        engine = self._engine
+        if engine is None:
             return self._host_meta
         return {
-            "events_dispatched": sum(e.dispatched for e in engines),
-            "wall_s": sum(e.wall_s for e in engines),
+            "events_dispatched": engine.dispatched,
+            "wall_s": engine.wall_s,
         }
 
     # -- export -----------------------------------------------------------------

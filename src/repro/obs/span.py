@@ -20,7 +20,7 @@ class Span:
 
     __slots__ = (
         "tracer", "name", "span_id", "parent", "track", "trace_id",
-        "start", "end", "attrs", "counters", "children",
+        "start", "end", "attrs", "counters", "children", "is_phase",
     )
 
     def __init__(self, tracer, name, span_id, parent, track, start, attrs,
@@ -36,6 +36,9 @@ class Span:
         self.attrs = attrs
         self.counters = {}
         self.children = []
+        #: Set once the span has been opened as a phase
+        #: (:meth:`repro.obs.Instrumentation.phase`).
+        self.is_phase = False
 
     def __repr__(self):
         end = f"{self.end:.6f}" if self.end is not None else "open"
@@ -96,6 +99,7 @@ class NullSpan:
     attrs = MappingProxyType({})
     counters = MappingProxyType({})
     children = ()
+    is_phase = False
 
     def child(self, name, track=None, **attrs):
         """Return self: null spans have null children."""

@@ -26,7 +26,7 @@ at an earlier instant than any same-timestamp near-lane append that
 follows it, so the roll-then-append order *is* seq order.  The
 differential oracle in ``tests/sim/test_queue_oracle.py`` checks this
 against the original flat-heap implementation
-(:class:`repro.sim.refqueue.ReferenceEngine`) over randomized
+(``tests/sim/refqueue.py``'s ``ReferenceEngine``) over randomized
 schedules.
 
 Cancellation is O(1) by mark: :meth:`Engine.cancel` records the event
@@ -259,8 +259,8 @@ class Engine:
         The hot-path form of ``schedule(event)``, used by
         ``Event.succeed``, resource grants and process start-up.  It is
         a method (not a bare lane append at the call sites) so that
-        :class:`~repro.sim.refqueue.ReferenceEngine` routes the same
-        calls through its flat heap.
+        the test oracle ``ReferenceEngine`` routes the same calls
+        through its flat heap.
         """
         self._lane_normal.append(event)
 
@@ -269,8 +269,7 @@ class Engine:
 
         The hot-path form of ``schedule(event, delay)`` for callers that
         have already rejected negative delays (``Timeout``); overridden
-        by :class:`~repro.sim.refqueue.ReferenceEngine` like
-        :meth:`_ready`.
+        by the test oracle ``ReferenceEngine`` like :meth:`_ready`.
         """
         now = self._now
         when = now + delay

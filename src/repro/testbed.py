@@ -127,15 +127,6 @@ class TestbedWorld:
             telemetry.start()
             self.obs.telemetry = telemetry
 
-    def begin_trial(self):
-        """Re-arm per-run counters before (re)using this world.
-
-        Back-to-back trials against one world would otherwise leak
-        high-water marks — most visibly :attr:`Link.peak_inflight` —
-        from the previous run's telemetry into the next.
-        """
-        self.link.reset_peaks()
-
     def stop_telemetry(self):
         """Stop the sampler ahead of the final drain (no-op when off)."""
         telemetry = self.obs.telemetry
@@ -728,13 +719,11 @@ class Testbed:
 
     def world(self, host_names=("alpha", "beta")):
         """A fresh world (for tests that drive the pieces by hand)."""
-        world = TestbedWorld(
+        return TestbedWorld(
             self.seed, self.calibration, host_names=host_names,
             instrument=self.instrument, fault_plan=self.faults,
             sample_period=self.sample_period, slos=self.slos,
         )
-        world.begin_trial()
-        return world
 
     def migrate(self, workload, strategy=None, run_remote=True, options=None):
         """Run one two-host trial; returns a :class:`MigrationResult`.
@@ -862,18 +851,16 @@ class Testbed:
                         "exec", process=spec.name,
                         **({"host": dest} if chain else {}),
                     )
-                    obs.push_phase(exec_span)
-                    metrics.mark("exec.start")
-                    try:
-                        if segment is not None:
-                            yield from remote_body(
-                                world.host(dest), inserted, segment,
-                                run_result, terminate=last,
-                            )
-                    finally:
-                        metrics.mark("exec.end")
-                        exec_span.finish()
-                        obs.pop_phase(exec_span)
+                    with obs.phase(exec_span):
+                        metrics.mark("exec.start")
+                        try:
+                            if segment is not None:
+                                yield from remote_body(
+                                    world.host(dest), inserted, segment,
+                                    run_result, terminate=last,
+                                )
+                        finally:
+                            metrics.mark("exec.end")
             except MigrationAborted as error:
                 # The process was reinserted at the hop's source.
                 outcome, failure = "aborted", str(error)

@@ -9,6 +9,7 @@ from functools import partial
 import pytest
 
 from repro.accent.process import ProcessStatus
+from repro.cluster import StressConfig, run_stress
 from repro.migration.manager import MigrationAborted
 from repro.migration.precopy import default_dirty_rate
 from repro.sim import SeededStreams
@@ -107,6 +108,31 @@ def test_dest_crash_outcome_via_testbed(make_plan, trial):
     assert result.failure is not None
     (root,) = result.obs.tracer.find("migrate")
     assert root.counters == {"aborted": 1}
+    assert_aborted_roots_closed(result.obs, 1)
+
+
+def assert_aborted_roots_closed(obs, aborted):
+    """Every span under each aborted migration has finished, and no
+    phase is left open in any process."""
+    roots = [root for root in obs.tracer.find("migrate")
+             if root.counters.get("aborted")]
+    assert len(roots) == aborted
+    for root in roots:
+        assert [span for span in root.walk() if span.end is None] == []
+    assert obs._open_phases == {}
+    assert obs.current_phase is None
+
+
+def test_crashed_stress_run_leaves_no_phase_open(make_plan):
+    plan = make_plan(
+        {"crashes": [{"host": "node00", "at": 3.0, "recover_at": 6.0}]}
+    )
+    result = run_stress(
+        StressConfig(hosts=4, procs=8, seed=7), instrument=True, faults=plan
+    )
+    aborted = result.outcomes["aborted"]
+    assert aborted >= 1
+    assert_aborted_roots_closed(result.obs, aborted)
 
 
 @pytest.mark.parametrize("trial, shape, store", [

@@ -258,12 +258,13 @@ SCENARIOS = {
 LOSSY = sorted(name for name, (_, plan, _) in SCENARIOS.items() if plan)
 
 
-def _send_at(world, sender, delay, message, failures):
+def _send_at(world, sender, delay, message, failures, phase):
     engine = world.engine
     if delay:
         yield engine.timeout(delay)
     try:
-        yield from world.host(sender).kernel.send(message)
+        with world.obs.phase(phase):
+            yield from world.host(sender).kernel.send(message)
     except TransportError as error:
         failures.append((engine.now, str(error)))
 
@@ -301,12 +302,13 @@ def replay(scenario, monkeypatch, fragment):
             ) if event._ok is False else None
         )
         obs = world.obs
+        # Every sender credits one phase, so the two pipes' byte
+        # attribution compares on one span.
         phase = obs.tracer.span("transfer")
-        obs.push_phase(phase)
         failures = []
         for sender, delay, message in build(world):
             engine.process(
-                _send_at(world, sender, delay, message, failures),
+                _send_at(world, sender, delay, message, failures, phase),
                 name=sender,
             )
         engine.run()
@@ -344,6 +346,10 @@ def test_chain_matches_generator_pipe(scenario, monkeypatch):
     chain = replay(scenario, monkeypatch, netmsgserver._Fragment)
     oracle = replay(scenario, monkeypatch, GeneratorFragment)
     assert chain["trace"], "the scenario dispatched nothing"
+    # Each sender's phase is credited with every byte that arrived.
+    assert chain["phase"].get("bytes", 0) == sum(
+        record.bytes for record in chain["link_records"]
+    )
     for key in oracle:
         assert chain[key] == oracle[key], key
 

@@ -138,21 +138,3 @@ def test_enter_counts_queued_frames_in_flight():
     assert link.settle(first, 100, "a", "b", NULL_SPAN)
     assert (link.inflight, link.peak_inflight) == (1, 2)
     assert link.medium.count == 1 and second.triggered
-
-
-def test_reset_peaks_rearms_to_current_inflight():
-    """Peak watermarks re-arm per trial so back-to-back runs don't leak."""
-    eng = Engine()
-    link = Link(eng, Calibration())
-
-    eng.process(frame(link, 1250))
-    eng.process(frame(link, 1250))
-    eng.run()
-    assert link.peak_inflight == 2
-    assert link.inflight == 0
-    link.reset_peaks()
-    assert link.peak_inflight == 0
-    # A transfer still on the wire is the new floor, not zero.
-    link.inflight = 1
-    link.reset_peaks()
-    assert link.peak_inflight == 1

@@ -211,13 +211,10 @@ def test_overlapping_roots_keep_fault_time_in_their_own_trace():
         )
         inserted = yield runner_inserted
         result = RemoteRunResult("runner")
-        exec_span = obs.tracer.span("exec", process="runner")
-        obs.push_phase(exec_span)
-        yield from remote_body(
-            world.host("beta"), inserted, runner.trace, result
-        )
-        exec_span.finish()
-        obs.pop_phase(exec_span)
+        with obs.phase(obs.tracer.span("exec", process="runner")):
+            yield from remote_body(
+                world.host("beta"), inserted, runner.trace, result
+            )
         return result
 
     def drive_mover():

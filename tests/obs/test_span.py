@@ -100,41 +100,100 @@ def test_null_span_as_parent_means_root():
 
 
 def test_phase_attribution_credits_innermost_phase():
-    obs = Instrumentation(enabled=True)
+    clock = {"now": 0.0}
+    obs = Instrumentation(clock=lambda: clock["now"], enabled=True)
     outer = obs.tracer.span("transfer")
-    obs.push_phase(outer)
-    obs.on_link(100, "migrate.core")
-    inner = outer.child("rimas")
-    obs.push_phase(inner)
-    obs.on_link(40, "migrate.rimas")
-    obs.on_fault("imaginary")
-    obs.pop_phase(inner)
-    obs.on_link(60, "migrate.core")
-    obs.pop_phase(outer)
-    obs.on_link(999, "stray")  # no open phase: dropped
+    with obs.phase(outer) as opened:
+        assert opened is outer
+        obs.on_fault("disk")
+        inner = outer.child("rimas")
+        with obs.phase(inner):
+            assert obs.current_phase is inner
+            obs.on_fault("imaginary")
+            obs.on_link(40, "migrate.rimas", obs.phase_for(inner))
+            clock["now"] = 1.0
+        assert inner.end == 1.0
+        assert obs.current_phase is outer
+        obs.on_fault("disk")
+        assert outer.end is None
+        clock["now"] = 2.0
+    assert outer.end == 2.0
+    assert obs.current_phase is None
+    obs.on_fault("stray")  # no open phase: dropped
+    obs.on_link(999, "stray", None)
 
-    assert outer.counters == {
-        "bytes": 160,
-        "bytes.migrate.core": 160,
-    }
+    assert outer.counters == {"faults.disk": 2}
     assert inner.counters == {
         "bytes": 40,
         "bytes.migrate.rimas": 40,
         "faults.imaginary": 1,
     }
-    assert obs.current_phase is None
 
 
-def test_pop_phase_tolerates_out_of_order_retirement():
+def test_phase_for_finds_the_nearest_phase_ancestor():
     obs = Instrumentation(enabled=True)
-    a = obs.tracer.span("a")
-    b = obs.tracer.span("b")
-    obs.push_phase(a)
-    obs.push_phase(b)
-    obs.pop_phase(a)
-    assert obs.current_phase is b
-    obs.pop_phase(b)
+    root = obs.tracer.span("migrate")
+    transfer = root.child("transfer")
+    ship = transfer.child("ship migrate.core")
+    assert obs.phase_for(ship) is None
+    with obs.phase(transfer):
+        pass
+    # The span stays a phase once its block has closed.
+    assert obs.phase_for(ship) is transfer
+    assert obs.phase_for(transfer) is transfer
+    assert obs.phase_for(root) is None
+    assert obs.phase_for(NULL_SPAN) is None
+
+
+def test_each_process_has_its_own_open_phase():
+    eng = Engine()
+    obs = Instrumentation(clock=lambda: eng.now, enabled=True)
+    obs.attach_engine(eng)
+    seen = {}
+
+    def body(name, delay):
+        with obs.phase(obs.tracer.span(name)) as span:
+            yield eng.timeout(delay)
+            seen[name] = obs.current_phase is span
+            obs.on_fault("imaginary")
+
+    eng.process(body("a", 1.0))
+    eng.process(body("b", 2.0))
+    eng.run()
+    assert seen == {"a": True, "b": True}
+    assert obs._open_phases == {}
+    assert [span.counters for span in obs.tracer.roots] == [
+        {"faults.imaginary": 1}, {"faults.imaginary": 1},
+    ]
+
+
+def test_a_closed_process_leaves_its_phase():
+    eng = Engine()
+    obs = Instrumentation(clock=lambda: eng.now, enabled=True)
+    obs.attach_engine(eng)
+
+    def server():
+        with obs.phase(obs.tracer.span("serve")):
+            yield eng.event()  # never fires
+
+    eng.process(server())
+    eng.run()
+    assert len(obs._open_phases) == 1
+    eng.close()
+    assert obs._open_phases == {}
+    (span,) = obs.tracer.roots
+    assert span.end == eng.now
+
+
+def test_tracing_off_phase_is_the_null_span():
+    obs = Instrumentation(enabled=False)
+    span = obs.tracer.span("transfer")
+    assert obs.phase(NULL_SPAN) is NULL_SPAN
+    with obs.phase(span):
+        assert obs.current_phase is None
+        obs.on_fault("imaginary")
     assert obs.current_phase is None
+    assert obs._open_phases == {}
 
 
 def test_attach_engine_counts_dispatches_into_registry():

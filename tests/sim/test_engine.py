@@ -6,7 +6,7 @@ from repro.sim import (
     DEFERRED, URGENT, Engine, Event, SimulationError, Store, Timeout,
 )
 from repro.sim.errors import EmptySchedule
-from repro.sim.refqueue import ReferenceEngine
+from tests.sim.refqueue import ReferenceEngine
 
 
 def test_clock_starts_at_zero():

@@ -3,7 +3,7 @@
 Randomized schedule programs are pre-generated (so execution draws no
 randomness) and replayed against both the production
 :class:`~repro.sim.engine.Engine` and the
-:class:`~repro.sim.refqueue.ReferenceEngine`, which keeps the original
+:class:`~tests.sim.refqueue.ReferenceEngine`, which keeps the original
 flat ``(time, priority, seq)`` heap.  The flat heap is the *definition*
 of the engine's total order, so entry-for-entry agreement of the
 dispatch logs proves the two-lane rewrite preserved it exactly.
@@ -36,7 +36,7 @@ from repro.obs.prof import EngineProfiler, profiled
 from repro.sim.engine import DEFERRED, Engine, URGENT
 from repro.sim.events import Event, Timeout
 from repro.sim.errors import SimulationError
-from repro.sim.refqueue import ReferenceEngine
+from tests.sim.refqueue import ReferenceEngine
 
 SEEDS = [101, 202, 303, 404, 505]
 CASES_PER_SEED = 200

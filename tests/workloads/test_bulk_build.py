@@ -41,7 +41,7 @@ from repro.accent.kernel import Kernel, KernelError
 from repro.accent.process import AccentProcess
 from repro.accent.vm.accessibility import IMAG_MEM, REAL_MEM, REAL_ZERO_MEM
 from repro.accent.vm.address_space import (
-    AddressSpace, ImaginaryMapping, Residency, VALIDATED,
+    AddressSpace, Residency, VALIDATED,
 )
 from repro.accent.vm.amap import AMap
 from repro.accent.vm.page import Page
@@ -161,13 +161,13 @@ def per_page_owed_sections(space):
     each imaginary region."""
     owed_by_handle = {}
     for run_start, run_end, value in space.regions.runs():
-        if not isinstance(value, ImaginaryMapping):
+        if value is VALIDATED:
             continue
         first = run_start // PAGE_SIZE
         last = (run_end - 1) // PAGE_SIZE
         for index in range(first, last + 1):
             if not space.has_page(index):
-                owed_by_handle.setdefault(value.handle, []).append(index)
+                owed_by_handle.setdefault(value, []).append(index)
     return [
         IOUSection(handle, indices, label="inherited-iou")
         for handle, indices in owed_by_handle.items()
